@@ -5,8 +5,8 @@ mutually orthogonal, starting from algebro-geometric data on reducible
 rational curves: pole divisors, essential-singularity markers,
 normalization points, gluing rules, and a meromorphic differential that
 certifies the construction. A catalog of worked systems, flat-metric
-verification tools, and an independent integral-equation route to the
-rotation coefficients round it out.
+verification tools on exact derivative jets, and an independent
+integral-equation route to the rotation coefficients round it out.
 """
 
 from .baker import (CoefficientVector, SolveDiagnostics, Solver,
@@ -29,11 +29,11 @@ from .errors import (CountMismatch, DegenerateParameters, DivisorMismatch,
                      PoleEvaluation, SingularFredholm, SingularSystem,
                      SpectralError, StencilFailure, TailTooFat)
 from .gallery import GalleryEntry, build, reference_residual
-from .geometry import (FDConfig, FIRST_DERIVATIVE_FD, GeometryReport,
+from .geometry import (FDConfig, FIRST_DERIVATIVE_FD, GeometryReport, Jet,
                        SECOND_DERIVATIVE_FD, SystemResiduals, build_report,
                        check_immersion, check_systems,
                        christoffel_and_riemann, epsilon_invariant, jacobian,
-                       lame, metric, rotation)
+                       jet, lame, metric, rotation)
 from .numerics import (INF, FactoredRational, Infinity, RationalDifferential,
                        is_inf, require_finite, same_point)
 

@@ -150,6 +150,15 @@ def _fd_configs(cfg: RunConfig):
     return first, geometry.SECOND_DERIVATIVE_FD
 
 
+def _geometry_source(cfg: RunConfig, solver: baker.Solver):
+    """What geometry differentiates: the solver itself (exact jets), or,
+    when --fd-h or --fd-order is given, its map as an opaque callable,
+    so the finite-difference jets cross-check the exact ones."""
+    if cfg.fd_h is not None or cfg.fd_order is not None:
+        return solver.map_batch
+    return solver
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -211,21 +220,24 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise InputError("solve requires --u")
     if len(cfg.u) != data.n:
         raise InputError(f"--u needs {data.n} components")
-    coeffs, diag = baker.solve_coefficients(data, cfg.u)
-    x, imag_max = baker.coordinate_map(data, cfg.u)
-    h = baker.h_values(data, coeffs)
+    solver = baker.Solver(data)
+    u = cfg.u[None, :]
+    coeffs, cond, resid = solver.solve_batch(u)
+    x = solver.map_from(u, coeffs)[0]
+    h = solver.h_from(u, coeffs)[0]
     fd_first, _ = _fd_configs(cfg)
-    g, _g_imag = geometry.metric(data, cfg.u, fd_first)
+    g, _g_imag = geometry.metric(_geometry_source(cfg, solver), cfg.u,
+                                 fd_first)
     H = geometry.lame(g)
     _emit(_dump({
         "u": [float(v) for v in cfg.u],
         "x": [[float(v.real), float(v.imag)] for v in x],
-        "imag_max": imag_max,
+        "imag_max": float(np.max(np.abs(x.imag))),
         "H": [float(v) for v in H],
         "h": [[float(v.real), float(v.imag)] for v in h],
         "diagnostics": {
-            "condition": diag.condition_estimate,
-            "residual": diag.residual_norm,
+            "condition": float(cond[0]),
+            "residual": float(resid[0]),
         },
     }), cfg.out)
     return EXIT_OK
@@ -237,14 +249,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     samples = _lattice(grid, data.n)
     fd_first, fd_second = _fd_configs(cfg)
     solver = baker.Solver(data)
+    source = _geometry_source(cfg, solver)
 
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         reports = list(pool.map(
-            lambda u: geometry.build_report(solver.map_batch, u,
-                                            fd_first, fd_second),
+            lambda u: geometry.build_report(source, u, fd_first, fd_second),
             samples))
 
-    spread = geometry.epsilon_invariant(data, samples, fd_first)
+    spread = geometry.epsilon_invariant(solver, samples, fd_first,
+                                        map_fn=source)
     breaches = []
     worst = {
         "reality": 0.0, "orthogonality": 0.0, "eq1": 0.0, "eq2": 0.0,

@@ -1,25 +1,35 @@
-"""Finite-difference differential geometry on an opaque coordinate map.
+"""Differential geometry of a coordinate map from its Taylor jet.
 
-A "map" here is any callable taking an (m, n) array of parameter points to
-an (m, n) array of (possibly complex) coordinates; solver batches and
-closed-form references both qualify. All derivatives are central finite
-differences. Each operation evaluates the map once on a dense local
-lattice around u and assembles every needed derivative from that single
-batch, so nested derivatives (scale factors, rotation coefficients,
-Christoffel symbols, curvature) never trigger extra solves.
+Every check here (metric orthogonality, scale factors, rotation
+coefficients, the curvature equation systems, Christoffel/Riemann, the
+immersion system, and the normalization invariant) is a closed form in the
+map's value and its first three u-derivatives at one point, held in a
+`Jet`. Where a function takes a map, it gets the jet in one of two ways:
+
+- a `Solver` or `SpectralData` gets the exact jet from `Solver.jet`, which
+  differentiates the linear system behind the map;
+- any other callable, taking an (m, n) array of parameter points to an
+  (m, n) array of (possibly complex) coordinates, gets a jet from one
+  sparse central-difference stencil evaluated in a single batch. This is
+  the independent cross-check on the exact path; the FDConfig arguments
+  apply to it alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baker import Solver
 from .curve import SpectralData, check_Q_residues
-from .errors import InputError, NonPositiveDiagonal, StencilFailure
+from .errors import (InputError, NonPositiveDiagonal, SpectralError,
+                     StencilFailure)
 
+# central-difference weights per derivative order and accuracy order,
+# keyed by offset in steps
 _D1 = {
     2: {-1: -0.5, 1: 0.5},
     4: {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0},
@@ -29,6 +39,12 @@ _D2 = {
     4: {-2: -1.0 / 12.0, -1: 16.0 / 12.0, 0: -30.0 / 12.0,
         1: 16.0 / 12.0, 2: -1.0 / 12.0},
 }
+_D3 = {
+    2: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+    4: {-3: 1.0 / 8.0, -2: -1.0, -1: 13.0 / 8.0, 1: -13.0 / 8.0,
+        2: 1.0, 3: -1.0 / 8.0},
+}
+_STENCILS = {1: _D1, 2: _D2, 3: _D3}
 
 
 @dataclass(frozen=True)
@@ -42,207 +58,194 @@ class FDConfig:
         if self.order not in (2, 4):
             raise InputError(f"stencil order must be 2 or 4, got {self.order}")
 
-    @property
-    def radius(self) -> int:
-        return self.order // 2
-
 
 FIRST_DERIVATIVE_FD = FDConfig(h=1e-5, order=2)
 SECOND_DERIVATIVE_FD = FDConfig(h=1e-3, order=4)
 
 
-class _Lattice:
-    """Map values on a tensor grid u + h * k, |k_a| <= halfwidth, with
-    memoized derived quantities (derivatives, scale factors, symbols)."""
+@dataclass(frozen=True)
+class Jet:
+    """The coordinate map and its u-derivatives at one parameter point.
 
-    def __init__(self, map_fn, u, fd: FDConfig, halfwidth: int, eta=None):
-        self.u = np.asarray(u, dtype=float)
-        self.n = self.u.size
-        self.fd = fd
-        self.hw = halfwidth
-        self.eta = np.ones(self.n) if eta is None else np.asarray(eta, dtype=float)
-        width = 2 * halfwidth + 1
-        offsets = np.array(
-            list(itertools.product(range(-halfwidth, halfwidth + 1),
-                                   repeat=self.n)))
-        points = self.u[None, :] + fd.h * offsets
-        try:
-            values = np.asarray(map_fn(points), dtype=complex)
-        except Exception as exc:
-            raise StencilFailure(f"map evaluation failed on stencil: {exc}") from exc
-        if values.shape != (points.shape[0], self.n):
-            raise StencilFailure(
-                f"map returned shape {values.shape}, expected {points.shape}")
-        self.values = values.reshape((width,) * self.n + (self.n,))
-        self._cache = {}
-
-    # -- raw values and x-derivatives ----------------------------------------
-
-    def x(self, idx=()) -> np.ndarray:
-        idx = self._pad(idx)
-        return self.values[tuple(self.hw + k for k in idx)]
-
-    def _pad(self, idx):
-        idx = tuple(idx)
-        return idx + (0,) * (self.n - len(idx))
-
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    def _apply(self, stencil, axis, fn, idx, scale):
-        idx = self._pad(idx)
-        acc = None
-        for off, w in stencil.items():
-            shifted = list(idx)
-            shifted[axis] += off
-            term = w * fn(tuple(shifted))
-            acc = term if acc is None else acc + term
-        return acc * scale
-
-    def dx(self, axis, idx=()) -> np.ndarray:
-        key = ("dx", axis, self._pad(idx))
-        return self._memo(key, lambda: self._apply(
-            _D1[self.fd.order], axis, self.x, idx, 1.0 / self.fd.h))
-
-    def d2x(self, a, b, idx=()) -> np.ndarray:
-        idx = self._pad(idx)
-        if a == b:
-            key = ("d2x", a, a, idx)
-            return self._memo(key, lambda: self._apply(
-                _D2[self.fd.order], a, self.x, idx, 1.0 / self.fd.h ** 2))
-        key = ("d2x", min(a, b), max(a, b), idx)
-        return self._memo(key, lambda: self._apply(
-            _D1[self.fd.order], a, lambda j: self.dx(b, j), idx,
-            1.0 / self.fd.h))
-
-    def jacobian(self, idx=()) -> np.ndarray:
-        """J[k, a] = d x^k / d u^a."""
-        return np.stack([self.dx(a, idx) for a in range(self.n)], axis=1)
-
-    # -- metric and scale factors ---------------------------------------------
-
-    def metric(self, idx=()) -> np.ndarray:
-        key = ("g", self._pad(idx))
-
-        def build():
-            J = self.jacobian(idx)
-            return J.T @ (self.eta[:, None] * J)
-
-        return self._memo(key, build)
-
-    def scale_factors(self, idx=()) -> np.ndarray:
-        key = ("H", self._pad(idx))
-
-        def build():
-            diag = np.diagonal(self.metric(idx)).real
-            if np.any(diag <= 0):
-                raise NonPositiveDiagonal(
-                    f"metric diagonal {diag.tolist()} at offset {idx}")
-            return np.sqrt(diag)
-
-        return self._memo(key, build)
-
-    def dH(self, axis, idx=()) -> np.ndarray:
-        key = ("dH", axis, self._pad(idx))
-        return self._memo(key, lambda: self._apply(
-            _D1[self.fd.order], axis, self.scale_factors, idx, 1.0 / self.fd.h))
-
-    def d2H(self, a, b, idx=()) -> np.ndarray:
-        idx = self._pad(idx)
-        if a == b:
-            key = ("d2H", a, a, idx)
-            return self._memo(key, lambda: self._apply(
-                _D2[self.fd.order], a, self.scale_factors, idx,
-                1.0 / self.fd.h ** 2))
-        key = ("d2H", min(a, b), max(a, b), idx)
-        return self._memo(key, lambda: self._apply(
-            _D1[self.fd.order], a, lambda j: self.dH(b, j), idx,
-            1.0 / self.fd.h))
-
-    # -- rotation coefficients and Christoffel symbols ------------------------
-
-    def beta(self, idx=()) -> np.ndarray:
-        """beta[i, j] = dH_j/du^i / H_i for i != j, zero diagonal."""
-        key = ("beta", self._pad(idx))
-
-        def build():
-            H = self.scale_factors(idx)
-            out = np.zeros((self.n, self.n))
-            for i in range(self.n):
-                dHi = self.dH(i, idx)
-                for j in range(self.n):
-                    if i != j:
-                        out[i, j] = dHi[j] / H[i]
-            return out
-
-        return self._memo(key, build)
-
-    def dbeta(self, axis, idx=()) -> np.ndarray:
-        key = ("dbeta", axis, self._pad(idx))
-        return self._memo(key, lambda: self._apply(
-            _D1[self.fd.order], axis, self.beta, idx, 1.0 / self.fd.h))
-
-    def christoffel(self, idx=()) -> np.ndarray:
-        """Gamma[k, i, j] for the diagonal metric, from the scale factors."""
-        key = ("Gamma", self._pad(idx))
-
-        def build():
-            H = self.scale_factors(idx)
-            dH = np.stack([self.dH(a, idx) for a in range(self.n)])  # [a, i]
-            out = np.zeros((self.n, self.n, self.n))
-            for k in range(self.n):
-                for j in range(self.n):
-                    out[k, k, j] = dH[j, k] / H[k]
-                    out[k, j, k] = out[k, k, j]
-                for i in range(self.n):
-                    if i != k:
-                        out[k, i, i] = -H[i] * dH[k, i] / H[k] ** 2
-            return out
-
-        return self._memo(key, build)
-
-    def dchristoffel(self, axis, idx=()) -> np.ndarray:
-        key = ("dGamma", axis, self._pad(idx))
-        return self._memo(key, lambda: self._apply(
-            _D1[self.fd.order], axis, self.christoffel, idx, 1.0 / self.fd.h))
-
-
-def _as_map(map_fn):
-    if isinstance(map_fn, SpectralData):
-        return Solver(map_fn).map_batch
-    if isinstance(map_fn, Solver):
-        return map_fn.map_batch
-    return map_fn
-
-
-def jacobian(map_fn, u, fd: FDConfig = FIRST_DERIVATIVE_FD) -> np.ndarray:
-    lat = _Lattice(_as_map(map_fn), u, fd, fd.radius)
-    return lat.jacobian()
-
-
-def metric(map_fn, u, fd: FDConfig = FIRST_DERIVATIVE_FD, eta=None):
-    """Gram matrix of the Jacobian with weights eta.
-
-    Returns (g, imag_max): the real part of the metric and the largest
-    imaginary component encountered (reported, never dropped silently).
+    Derivative axes come first and the coordinate index last:
+    dx[a, k] = dx^k/du^a, d2x[a, b, k] and d3x[a, b, c, k]. Orders
+    beyond the one requested are None.
     """
-    lat = _Lattice(_as_map(map_fn), u, fd, fd.radius, eta=eta)
-    g = lat.metric()
-    return g.real.copy(), float(np.max(np.abs(g.imag)))
+
+    u: np.ndarray
+    x: np.ndarray
+    dx: np.ndarray
+    d2x: np.ndarray = None
+    d3x: np.ndarray = None
 
 
-def lame(g) -> np.ndarray:
-    diag = np.diagonal(np.asarray(g)).real
-    if np.any(diag <= 0):
-        raise NonPositiveDiagonal(f"metric diagonal {diag.tolist()}")
-    return np.sqrt(diag)
+def _stencil_weights(n, order, fd_first, fd_higher):
+    """Sparse stencil for every derivative of x up to `order`.
+
+    Returns (steps, weights): the map is evaluated at u + steps[p], and
+    weights maps each sorted multi-index of derivative axes to the
+    vector of weights over those points. Each derivative is a tensor
+    product of 1-D central differences along its own axes, so no point
+    moves more than three axes away from u. First derivatives use
+    fd_first, higher ones fd_higher.
+    """
+    centre = (0.0, (0,) * n)
+    rows = {centre: 0}  # (step size, offset in steps) -> point index
+    weights = {}
+    for k in range(1, order + 1):
+        fd = fd_first if k == 1 else fd_higher
+        for idx in itertools.combinations_with_replacement(range(n), k):
+            per_axis = [[(axis, off, w) for off, w in
+                         _STENCILS[mult][fd.order].items()]
+                        for axis, mult in Counter(idx).items()]
+            entries = []
+            for combo in itertools.product(*per_axis):
+                offset = [0] * n
+                weight = fd.h ** -k
+                for axis, off, w in combo:
+                    offset[axis] = off
+                    weight *= w
+                key = (fd.h, tuple(offset)) if any(offset) else centre
+                entries.append((rows.setdefault(key, len(rows)), weight))
+            weights[idx] = entries
+    steps = np.array([h * np.asarray(off, dtype=float) for h, off in rows])
+    for idx, entries in weights.items():
+        vec = np.zeros(len(rows))
+        for row, w in entries:
+            vec[row] += w
+        weights[idx] = vec
+    return steps, weights
 
 
-def rotation(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD, eta=None) -> np.ndarray:
-    lat = _Lattice(_as_map(map_fn), u, fd, 2 * fd.radius, eta=eta)
-    return lat.beta()
+def _fd_jet(map_fn, u, order, fd_first, fd_higher) -> Jet:
+    n = u.size
+    steps, weights = _stencil_weights(n, order, fd_first, fd_higher)
+    points = u[None, :] + steps
+    try:
+        values = np.asarray(map_fn(points), dtype=complex)
+    except SpectralError:
+        raise
+    except Exception as exc:
+        raise StencilFailure(f"map evaluation failed on stencil: {exc}") from exc
+    if values.shape != points.shape:
+        raise StencilFailure(
+            f"map returned shape {values.shape}, expected {points.shape}")
+    derivs = [values[0]]
+    for k in range(1, order + 1):
+        tensor = np.zeros((n,) * k + (n,), dtype=complex)
+        for idx in itertools.combinations_with_replacement(range(n), k):
+            value = weights[idx] @ values
+            for perm in set(itertools.permutations(idx)):
+                tensor[perm] = value
+        derivs.append(tensor)
+    return Jet(u, *derivs)
+
+
+def _jets(map_fn, us, order, fd_first, fd_higher) -> list:
+    """One Jet per row of us: exact for solver-backed maps, FD otherwise."""
+    us = np.atleast_2d(np.asarray(us, dtype=float))
+    if isinstance(map_fn, (Solver, SpectralData)):
+        solver = map_fn if isinstance(map_fn, Solver) else Solver(map_fn)
+        derivs = solver.jet(us, order)
+        return [Jet(u, *(d[s] for d in derivs)) for s, u in enumerate(us)]
+    return [_fd_jet(map_fn, u, order, fd_first, fd_higher) for u in us]
+
+
+def jet(map_fn, u, order: int = 3, fd_first: FDConfig = FIRST_DERIVATIVE_FD,
+        fd_second: FDConfig = SECOND_DERIVATIVE_FD) -> Jet:
+    """Value and u-derivatives up to `order` of the map at u.
+
+    Exact for a Solver or SpectralData. For a plain callable, first
+    derivatives come from fd_first and higher ones from fd_second.
+    """
+    return _jets(map_fn, u, order, fd_first, fd_second)[0]
+
+
+# ---------------------------------------------------------------------------
+# closed forms over a jet
+# ---------------------------------------------------------------------------
+
+def _eta(eta, n) -> np.ndarray:
+    return np.ones(n) if eta is None else np.asarray(eta, dtype=float)
+
+
+def _metric(j: Jet, eta) -> np.ndarray:
+    """g[a, b] = sum_k eta_k dx^k/du^a dx^k/du^b, bilinear (no conjugate)."""
+    return np.einsum("ak,k,bk->ab", j.dx, eta, j.dx)
+
+
+def _scale_factors(j: Jet, eta):
+    """H_i = sqrt(Re g_ii) with dH[a, i] = dH_i/du^a and
+    d2H[a, b, i], as far as the jet reaches (None beyond)."""
+    G = np.einsum("ik,k,ik->i", j.dx, eta, j.dx).real
+    if np.any(G <= 0):
+        raise NonPositiveDiagonal(
+            f"metric diagonal {G.tolist()} at u = {j.u.tolist()}")
+    H = np.sqrt(G)
+    dH = d2H = None
+    if j.d2x is not None:
+        dG = 2.0 * np.einsum("aik,k,ik->ai", j.d2x, eta, j.dx).real
+        dH = dG / (2.0 * H)
+    if j.d3x is not None:
+        d2G = 2.0 * (np.einsum("abik,k,ik->abi", j.d3x, eta, j.dx)
+                     + np.einsum("aik,k,bik->abi", j.d2x, eta, j.d2x)).real
+        # G = H^2, so d_ab G = 2 d_a H d_b H + 2 H d_ab H
+        d2H = (d2G - 2.0 * dH[:, None, :] * dH[None, :, :]) / (2.0 * H)
+    return H, dH, d2H
+
+
+def _rotation(H, dH, d2H=None):
+    """beta[i, j] = dH_j/du^i / H_i off the diagonal, zero on it, and
+    dbeta[k, i, j] = d beta[i, j] / du^k when d2H is given."""
+    n = H.size
+    diag = np.arange(n)
+    beta = dH / H[:, None]
+    beta[diag, diag] = 0.0
+    if d2H is None:
+        return beta, None
+    dbeta = d2H / H[None, :, None] \
+        - dH[:, :, None] * dH[None, :, :] / H[None, :, None] ** 2
+    dbeta[:, diag, diag] = 0.0
+    return beta, dbeta
+
+
+def _christoffel(H, dH, d2H=None):
+    """Gamma[k, i, j] of the diagonal metric diag(H^2), and
+    dGamma[c, k, i, j] = d Gamma[k, i, j] / du^c when d2H is given."""
+    n = H.size
+    gamma = np.zeros((n, n, n))
+    dgamma = None if d2H is None else np.zeros((n, n, n, n))
+    for k in range(n):
+        gamma[k, k, :] = dH[:, k] / H[k]
+        gamma[k, :, k] = gamma[k, k, :]
+        if dgamma is not None:
+            dgamma[:, k, k, :] = d2H[:, :, k] / H[k] \
+                - np.outer(dH[:, k], dH[:, k]) / H[k] ** 2
+            dgamma[:, k, :, k] = dgamma[:, k, k, :]
+        for i in range(n):
+            if i == k:
+                continue
+            gamma[k, i, i] = -H[i] * dH[k, i] / H[k] ** 2
+            if dgamma is not None:
+                dgamma[:, k, i, i] = \
+                    -(dH[:, i] * dH[k, i] + H[i] * d2H[:, k, i]) / H[k] ** 2 \
+                    + 2.0 * H[i] * dH[k, i] * dH[:, k] / H[k] ** 3
+    return gamma, dgamma
+
+
+def _riemann_max(gamma, dgamma) -> float:
+    """max |R^a_{bcd}|, R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
+    + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}."""
+    half = np.einsum("cadb->abcd", dgamma) \
+        + np.einsum("ace,edb->abcd", gamma, gamma)
+    riemann = half - half.transpose(0, 1, 3, 2)
+    return float(np.max(np.abs(riemann)))
+
+
+def _immersion_max(j: Jet, gamma) -> float:
+    """max over i, j, k of |d_i d_j x^k - sum_a d_a x^k Gamma[a, i, j]|."""
+    rhs = np.einsum("ak,aij->ijk", j.dx, gamma)
+    return float(np.max(np.abs(j.d2x - rhs)))
 
 
 @dataclass
@@ -263,103 +266,119 @@ class SystemResiduals:
         return max((abs(v) for v in values), default=0.0)
 
 
+def _systems(H, dH, d2H) -> SystemResiduals:
+    n = H.size
+    out = SystemResiduals()
+
+    for i, j, k in itertools.combinations(range(n), 3):
+        for ii, jj, kk in ((i, j, k), (j, i, k), (k, i, j)):
+            lhs = d2H[jj, kk, ii]
+            rhs = (dH[kk, jj] / H[jj]) * dH[jj, ii] \
+                + (dH[jj, kk] / H[kk]) * dH[kk, ii]
+            out.eq1.append(float(lhs - rhs))
+
+    for i, j in itertools.combinations(range(n), 2):
+        term = d2H[j, j, i] / H[j] - dH[j, i] * dH[j, j] / H[j] ** 2
+        term += d2H[i, i, j] / H[i] - dH[i, j] * dH[i, i] / H[i] ** 2
+        for k in range(n):
+            if k != i and k != j:
+                term += dH[k, i] * dH[k, j] / H[k] ** 2
+        out.eq2.append(float(term))
+
+    beta, dbeta = _rotation(H, dH, d2H)
+    for i, j, k in itertools.permutations(range(n), 3):
+        if i < j:  # each ordered pair (i,j) once per admissible k
+            out.eq4.append(float(dbeta[k, i, j] - beta[i, k] * beta[k, j]))
+            out.eq4.append(float(dbeta[k, j, i] - beta[j, k] * beta[k, i]))
+
+    for i, j in itertools.combinations(range(n), 2):
+        term = dbeta[i, i, j] + dbeta[j, j, i]
+        for k in range(n):
+            if k != i and k != j:
+                term += beta[k, i] * beta[k, j]
+        out.eq5.append(float(term))
+
+    return out
+
+
+# ---------------------------------------------------------------------------
+# public checks
+# ---------------------------------------------------------------------------
+
+def jacobian(map_fn, u, fd: FDConfig = FIRST_DERIVATIVE_FD) -> np.ndarray:
+    """J[k, a] = d x^k / d u^a."""
+    return jet(map_fn, u, 1, fd, fd).dx.T
+
+
+def metric(map_fn, u, fd: FDConfig = FIRST_DERIVATIVE_FD, eta=None):
+    """Gram matrix of the Jacobian with weights eta.
+
+    Returns (g, imag_max): the real part of the metric and the largest
+    imaginary component encountered (reported, never dropped silently).
+    """
+    j = jet(map_fn, u, 1, fd, fd)
+    g = _metric(j, _eta(eta, j.u.size))
+    return g.real.copy(), float(np.max(np.abs(g.imag)))
+
+
+def lame(g) -> np.ndarray:
+    diag = np.diagonal(np.asarray(g)).real
+    if np.any(diag <= 0):
+        raise NonPositiveDiagonal(f"metric diagonal {diag.tolist()}")
+    return np.sqrt(diag)
+
+
+def rotation(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD, eta=None) -> np.ndarray:
+    j = jet(map_fn, u, 2, fd, fd)
+    H, dH, _ = _scale_factors(j, _eta(eta, j.u.size))
+    return _rotation(H, dH)[0]
+
+
 def check_systems(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD,
                   eta=None) -> SystemResiduals:
     """Residuals of the curvature equations for the scale factors (the
     second-derivative pair) and the rotation-coefficient form of the same
     conditions (first-derivative pair)."""
-    # deepest chain: d(beta) -> beta -> dH -> H -> dx, three stencil layers
-    lat = _Lattice(_as_map(map_fn), u, fd, 3 * fd.radius, eta=eta)
-    n = lat.n
-    H = lat.scale_factors()
-    dH = np.stack([lat.dH(a) for a in range(n)])  # [a, i]
-    out = SystemResiduals()
-
-    for i, j, k in itertools.combinations(range(n), 3):
-        for ii, jj, kk in ((i, j, k), (j, i, k), (k, i, j)):
-            lhs = lat.d2H(jj, kk)[ii]
-            rhs = (dH[kk, jj] / H[jj]) * dH[jj, ii] \
-                + (dH[jj, kk] / H[kk]) * dH[kk, ii]
-            out.eq1.append(lhs - rhs)
-
-    for i, j in itertools.combinations(range(n), 2):
-        term = lat.d2H(j, j)[i] / H[j] - dH[j, i] * dH[j, j] / H[j] ** 2
-        term += lat.d2H(i, i)[j] / H[i] - dH[i, j] * dH[i, i] / H[i] ** 2
-        for k in range(n):
-            if k != i and k != j:
-                term += dH[k, i] * dH[k, j] / H[k] ** 2
-        out.eq2.append(term)
-
-    beta = lat.beta()
-    for i, j, k in itertools.permutations(range(n), 3):
-        if i < j:  # each ordered pair (i,j) once per admissible k
-            out.eq4.append(lat.dbeta(k)[i, j] - beta[i, k] * beta[k, j])
-            out.eq4.append(lat.dbeta(k)[j, i] - beta[j, k] * beta[k, i])
-
-    for i, j in itertools.combinations(range(n), 2):
-        term = lat.dbeta(i)[i, j] + lat.dbeta(j)[j, i]
-        for k in range(n):
-            if k != i and k != j:
-                term += beta[k, i] * beta[k, j]
-        out.eq5.append(term)
-
-    return out
+    j = jet(map_fn, u, 3, fd, fd)
+    return _systems(*_scale_factors(j, _eta(eta, j.u.size)))
 
 
 def christoffel_and_riemann(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD,
                             eta=None):
     """Christoffel symbols at u and the max |R^a_{b c d}| of the curvature
-    tensor assembled from finite-differenced symbols."""
-    lat = _Lattice(_as_map(map_fn), u, fd, 3 * fd.radius, eta=eta)
-    n = lat.n
-    gamma = lat.christoffel()
-    dgamma = np.stack([lat.dchristoffel(a) for a in range(n)])  # [a, k, i, j]
-    riemann = np.zeros((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    val = dgamma[c, a, d, b] - dgamma[d, a, c, b]
-                    val += np.dot(gamma[a, c, :], gamma[:, d, b])
-                    val -= np.dot(gamma[a, d, :], gamma[:, c, b])
-                    riemann[a, b, c, d] = val
-    return gamma, float(np.max(np.abs(riemann)))
+    tensor assembled from the symbols and their derivatives."""
+    j = jet(map_fn, u, 3, fd, fd)
+    gamma, dgamma = _christoffel(*_scale_factors(j, _eta(eta, j.u.size)))
+    return gamma, _riemann_max(gamma, dgamma)
 
 
 def check_immersion(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD,
                     eta=None) -> float:
     """Max residual of the linear immersion system relating second
     derivatives of x to Christoffel symbols."""
-    lat = _Lattice(_as_map(map_fn), u, fd, 2 * fd.radius, eta=eta)
-    n = lat.n
-    gamma = lat.christoffel()
-    J = lat.jacobian()
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = lat.d2x(i, j)
-            rhs = J @ gamma[:, i, j]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    j = jet(map_fn, u, 2, fd, fd)
+    H, dH, _ = _scale_factors(j, _eta(eta, j.u.size))
+    return _immersion_max(j, _christoffel(H, dH)[0])
 
 
-def epsilon_invariant(data: SpectralData, u_samples,
-                      fd: FDConfig = FIRST_DERIVATIVE_FD) -> np.ndarray:
+def epsilon_invariant(data, u_samples, fd: FDConfig = FIRST_DERIVATIVE_FD,
+                      map_fn=None) -> np.ndarray:
     """Relative spread of eta0^2 H_i^2 / h_i^2 across the samples.
 
     The theory makes this ratio a u-independent constant per axis; the
     returned vector holds the observed max relative deviation for each i.
+    data is SpectralData or its Solver. H comes from map_fn when given
+    (a plain callable is differentiated with fd), else from the exact
+    jet of data's own map.
     """
-    eta0_sq = check_Q_residues(data)
-    solver = Solver(data)
+    solver = data if isinstance(data, Solver) else Solver(data)
+    eta0_sq = check_Q_residues(solver.data)
     u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
     lead = solver.h_batch(u_samples)
-    ratios = []
-    for u, h_row in zip(u_samples, lead):
-        lat = _Lattice(solver.map_batch, u, fd, fd.radius)
-        H = lat.scale_factors()
-        ratios.append(eta0_sq * H ** 2 / h_row ** 2)
-    ratios = np.array(ratios)
+    jets = _jets(solver if map_fn is None else map_fn, u_samples, 1, fd, fd)
+    eta = np.ones(solver.data.n)
+    H = np.array([_scale_factors(j, eta)[0] for j in jets])
+    ratios = eta0_sq * H ** 2 / lead ** 2
     ref = ratios[0]
     return np.max(np.abs(ratios - ref[None, :]) / np.abs(ref)[None, :], axis=0)
 
@@ -387,25 +406,24 @@ def build_report(map_fn, u,
                  fd_first: FDConfig = FIRST_DERIVATIVE_FD,
                  fd_second: FDConfig = SECOND_DERIVATIVE_FD,
                  eta=None) -> GeometryReport:
-    """One-stop verification record at a single parameter point."""
-    fn = _as_map(map_fn)
-    u = np.asarray(u, dtype=float)
-    x = np.asarray(fn(u[None, :]), dtype=complex)[0]
-    g, imag_max = metric(fn, u, fd_first, eta=eta)
+    """One-stop verification record at a single parameter point, from one
+    third-order jet."""
+    j = jet(map_fn, u, 3, fd_first, fd_second)
+    eta = _eta(eta, j.u.size)
+    g = _metric(j, eta).real
     off = g - np.diag(np.diagonal(g))
-    H = lame(g)
-    beta = rotation(fn, u, fd_second, eta=eta)
-    systems = check_systems(fn, u, fd_second, eta=eta)
-    _, riemann_max = christoffel_and_riemann(fn, u, fd_second, eta=eta)
-    immersion = check_immersion(fn, u, fd_second, eta=eta)
+    H, dH, d2H = _scale_factors(j, eta)
+    beta, _ = _rotation(H, dH)
+    systems = _systems(H, dH, d2H)
+    gamma, dgamma = _christoffel(H, dH, d2H)
 
     def fmax(vals):
         return max((abs(v) for v in vals), default=0.0)
 
     return GeometryReport(
-        u=u.tolist(),
-        x=[[float(v.real), float(v.imag)] for v in x],
-        imag_max=float(np.max(np.abs(x.imag))),
+        u=j.u.tolist(),
+        x=[[float(v.real), float(v.imag)] for v in j.x],
+        imag_max=float(np.max(np.abs(j.x.imag))),
         g_offdiag_max=float(np.max(np.abs(off))),
         lame=H.tolist(),
         rotation=beta.tolist(),
@@ -413,6 +431,6 @@ def build_report(map_fn, u,
         eq2_max=fmax(systems.eq2),
         eq4_max=fmax(systems.eq4),
         eq5_max=fmax(systems.eq5),
-        riemann_max=riemann_max,
-        immersion_max=immersion,
+        riemann_max=_riemann_max(gamma, dgamma),
+        immersion_max=_immersion_max(j, gamma),
     )

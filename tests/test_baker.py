@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords.baker import (Solver, assemble_system, coordinate_map,
-                                   eval_psi, exp_factor, h_values,
-                                   solve_coefficients)
+from spectral_coords.baker import (CoefficientVector, Solver,
+                                   assemble_system, coordinate_map, eval_psi,
+                                   exp_factor, h_values, solve_coefficients)
 from spectral_coords.curve import (ComponentAnsatz, CurvePoint, EssentialTerm,
                                    Normalization, SpectralData)
 from spectral_coords.errors import EssentialSingularity, SingularSystem
@@ -80,6 +80,18 @@ def test_leading_coefficients_for_disjoint_components():
     assert np.allclose(lead, np.exp(u), atol=1e-12)
     assert diag.residual_norm < 1e-12
     assert np.isfinite(diag.condition_estimate)
+
+
+def test_h_values_use_the_given_coefficients():
+    data = gallery.build("example1").data
+    u = rng.uniform(-0.4, 0.4, size=data.n)
+    coeffs, _ = solve_coefficients(data, u)
+    assert np.allclose(h_values(data, coeffs), Solver(data).h_batch(u)[0],
+                       atol=1e-13)
+    doubled = CoefficientVector(values=2.0 * coeffs.values, u=coeffs.u,
+                                offsets=coeffs.offsets)
+    assert np.allclose(h_values(data, doubled), 2.0 * h_values(data, coeffs),
+                       atol=1e-13)
 
 
 def test_batch_agrees_with_single_solves():

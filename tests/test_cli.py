@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
+from spectral_coords import baker
 from spectral_coords.cli import main
 
 KERNEL2 = {
@@ -139,6 +141,74 @@ def test_verify_breaches_under_absurd_tolerance(polar_file, capsys):
                        "--grid", "1:-0.3:0.3:2", "--tol", "1e-16")
     assert code == 1
     assert json.loads(out)["breaches"]
+
+
+def test_verify_fd_cross_check_passes(polar_file, capsys):
+    code, out, _ = run(capsys, "verify", polar_file,
+                       "--grid", "1:-0.3:0.3:2;2:-0.2:0.2:2",
+                       "--fd-h", "1e-5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    # finite-difference residuals sit well above the exact path's
+    assert report["worst"]["riemann"] > 0.0
+
+
+def test_verify_singular_system_exit_code(tmp_path, capsys):
+    blob = gallery.build("euclidean1").data.to_json()
+    blob["normalizations"].append(dict(blob["normalizations"][0]))
+    blob["normalizations"][1]["value"] = [2.0, 0.0]
+    blob["ansatz"][0]["poles"] = [[3.0, 0.0]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(blob))
+    for extra in ((), ("--fd-h", "1e-5")):
+        code, _, err = run(capsys, "verify", str(path),
+                           "--grid", "1:-0.1:0.1:2", *extra)
+        assert code == 3
+        assert "condition" in err
+
+
+def test_verify_reaches_spherical6(tmp_path, capsys):
+    # the 13^6-point lattices of a finite-difference verify are out of
+    # reach here; exact jets make this a two-solve job
+    path = tmp_path / "spherical6.json"
+    path.write_text(json.dumps(gallery.spherical_n(6).data.to_json()))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path), "--grid", "2:-0.2:0.3:2")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    report = json.loads(out)
+    assert report["samples"] == 2 and report["passed"] is True
+    assert elapsed < 10.0
+
+
+def test_solve_builds_one_solver(polar_file, capsys, monkeypatch):
+    built = []
+    original = baker.Solver.__init__
+
+    def counting_init(self, data):
+        built.append(data)
+        original(self, data)
+
+    monkeypatch.setattr(baker.Solver, "__init__", counting_init)
+    code, out, _ = run(capsys, "solve", polar_file, "--u", "0.3,1.0")
+    assert code == 0
+    assert len(built) == 1
+    result = json.loads(out)
+    assert set(result) == {"u", "x", "imag_max", "H", "h", "diagnostics"}
+    assert result["H"] == pytest.approx([math.exp(0.3)] * 2, rel=1e-12)
+
+
+def test_solve_fd_flags_select_the_fd_jet(polar_file, capsys):
+    code, out, _ = run(capsys, "solve", polar_file, "--u", "0.3,1.0")
+    exact = json.loads(out)
+    code_fd, out_fd, _ = run(capsys, "solve", polar_file, "--u", "0.3,1.0",
+                             "--fd-h", "1e-4", "--fd-order", "4")
+    fd = json.loads(out_fd)
+    assert code == code_fd == 0
+    assert fd["x"] == exact["x"]
+    assert fd["H"] == pytest.approx(exact["H"], rel=1e-9)
+    assert fd["H"] != exact["H"]
 
 
 def test_verify_thread_env(polar_file, capsys, monkeypatch):

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords.errors import NonPositiveDiagonal
+from spectral_coords.baker import Solver
+from spectral_coords.curve import (ComponentAnsatz, CurvePoint, EssentialTerm,
+                                   Normalization, SpectralData)
+from spectral_coords.errors import NonPositiveDiagonal, SingularSystem
 from spectral_coords.geometry import (FIRST_DERIVATIVE_FD,
                                       SECOND_DERIVATIVE_FD, build_report,
                                       check_immersion, check_systems,
                                       christoffel_and_riemann,
-                                      epsilon_invariant, jacobian, lame,
+                                      epsilon_invariant, jacobian, jet, lame,
                                       metric, rotation)
+from spectral_coords.numerics import INF, FactoredRational
 
 rng = np.random.default_rng(20240814)
 
@@ -133,3 +137,84 @@ def test_fd_tiers_are_distinct():
     assert FIRST_DERIVATIVE_FD.h < SECOND_DERIVATIVE_FD.h
     assert FIRST_DERIVATIVE_FD.order == 2
     assert SECOND_DERIVATIVE_FD.order == 4
+
+
+# Bounds fixed before the first comparison, at about ten times the error
+# of the finite-difference stencils (first derivatives at h = 1e-5,
+# order 2; higher ones at h = 1e-3, order 4). Each order's gap is taken
+# relative to the largest entry of the jet up to that order, since the
+# stencil's rounding error scales with the map values themselves.
+JET_BOUNDS = {1: 1e-9, 2: 1e-7, 3: 1e-5}
+JET_ENTRIES = [(name, lambda name=name: gallery.build(name))
+               for name in sorted(gallery.BUILDERS)] + [
+    ("spherical_n(5)", lambda: gallery.spherical_n(5)),
+    ("spherical_n(6)", lambda: gallery.spherical_n(6)),
+]
+
+
+@pytest.mark.parametrize("name,build", JET_ENTRIES,
+                         ids=[name for name, _ in JET_ENTRIES])
+def test_exact_jet_matches_finite_differences(name, build):
+    solver = Solver(build().data)
+    points = np.random.default_rng(20240901).uniform(
+        -0.3, 0.3, size=(2, solver.data.n))
+    for u in points:
+        exact = jet(solver, u)
+        fd = jet(solver.map_batch, u)
+        orders = [exact.x, exact.dx, exact.d2x, exact.d3x]
+        fd_orders = [fd.x, fd.dx, fd.d2x, fd.d3x]
+        assert np.max(np.abs(exact.x - fd.x)) < 1e-12 * (
+            1.0 + np.max(np.abs(exact.x)))
+        for k, bound in JET_BOUNDS.items():
+            scale = max(np.max(np.abs(d)) for d in orders[:k + 1])
+            gap = np.max(np.abs(orders[k] - fd_orders[k])) / scale
+            assert gap < bound, (name, u.tolist(), k, gap)
+
+
+def test_batched_jet_agrees_with_single_points():
+    solver = Solver(gallery.build("cylindrical").data)
+    us = rng.uniform(-0.3, 0.3, size=(3, solver.data.n))
+    batch = solver.jet(us, 3)
+    assert np.allclose(batch[0], solver.map_batch(us), atol=1e-13)
+    for s, u in enumerate(us):
+        single = solver.jet(u, 2)
+        assert len(single) == 3
+        for k in range(3):
+            assert np.allclose(batch[k][s], single[k][0], atol=1e-13)
+
+
+def _singular_data():
+    phase = FactoredRational(1.0, [(0j, 1)])
+    return SpectralData(
+        n=1,
+        ansatz=(ComponentAnsatz(essential=(EssentialTerm(1, phase),),
+                                poles=(2.0,)),),
+        gluings=(),
+        normalizations=(Normalization(CurvePoint(0, 1.0), 1.0),
+                        Normalization(CurvePoint(0, 1.0), 2.0)),
+        Q=(CurvePoint(0, 0.0),),
+        P_markers=(CurvePoint(0, INF),),
+        omega=(),
+    )
+
+
+def test_exact_path_raises_singular_system():
+    data = _singular_data()
+    with pytest.raises(SingularSystem):
+        Solver(data).jet(np.zeros(1), 3)
+    with pytest.raises(SingularSystem):
+        build_report(data, np.zeros(1))
+    with pytest.raises(SingularSystem):
+        metric(data, np.zeros(1))
+
+
+def test_exact_path_raises_nonpositive_diagonal():
+    # with eta = (1, -1) the polar metric's first diagonal entry is
+    # e^{2 u1} cos(2 u2), negative at u2 = pi/2
+    data = gallery.build("polar").data
+    u = np.array([0.1, np.pi / 2])
+    eta = [1.0, -1.0]
+    for check in (rotation, check_systems, christoffel_and_riemann,
+                  check_immersion, build_report):
+        with pytest.raises(NonPositiveDiagonal):
+            check(data, u, eta=eta)
