@@ -9,9 +9,7 @@ verification tools on exact derivative jets, and an independent
 integral-equation route to the rotation coefficients round it out.
 """
 
-from .baker import (CoefficientVector, SolveDiagnostics, Solver,
-                    assemble_system, coordinate_map, eval_psi, h_values,
-                    solve_coefficients)
+from .baker import Solver
 from .curve import (ComponentAnsatz, CountingReport, CurvePoint,
                     EssentialTerm, Gluing, InvolutionSpec, Normalization,
                     RegularityReport, SpectralData, arithmetic_genus,
@@ -33,7 +31,7 @@ from .geometry import (FDConfig, FIRST_DERIVATIVE_FD, GeometryReport, Jet,
                        SECOND_DERIVATIVE_FD, SystemResiduals, build_report,
                        check_immersion, check_systems,
                        christoffel_and_riemann, epsilon_invariant, jacobian,
-                       jet, lame, metric, rotation)
+                       jet, lame, metric, rotation, rotation_systems)
 from .numerics import (INF, FactoredRational, Infinity, RationalDifferential,
                        is_inf, require_finite, same_point)
 

@@ -20,11 +20,10 @@ Derivatives"). `Solver.jet` uses this for exact map derivatives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import ComponentAnsatz, CurvePoint, SpectralData, validate_counting
+from .curve import CurvePoint, SpectralData, validate_counting
 from .errors import EssentialSingularity, PoleEvaluation, SingularSystem
 from .numerics import is_inf, same_point
 
@@ -65,6 +64,13 @@ def _block_offsets(data: SpectralData) -> tuple:
     for comp in data.ansatz:
         offsets.append(offsets[-1] + 1 + len(comp.poles))
     return tuple(offsets)
+
+
+def _point_rows(data: SpectralData, points, offsets):
+    """Basis rows and phase vectors at the given curve points."""
+    base = [_basis_row(data, cp.component, cp.point, offsets) for cp in points]
+    phase = [_phase_vector(data, cp.component, cp.point) for cp in points]
+    return np.array(base), np.array(phase)
 
 
 def _leading_rows(data: SpectralData, offsets):
@@ -115,38 +121,6 @@ def _leibniz(f: list, g: list, k: int, skip_top: bool = False):
             total = total + np.einsum(f"{fs}...,{gs}...->{slots}...",
                                       f[r], g[k - r])
     return total
-
-
-def exp_factor(ansatz: ComponentAnsatz, u, z) -> complex:
-    """exp(sum u^var * phase(z)); defined only away from phase poles."""
-    u = np.asarray(u, dtype=float)
-    total = 0j
-    for term in ansatz.essential:
-        try:
-            total += u[term.var - 1] * term.phase.eval(z)
-        except PoleEvaluation as exc:
-            raise EssentialSingularity(
-                f"phase of u^{term.var} blows up at {z}") from exc
-    return complex(np.exp(total))
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    values: np.ndarray  # flat, one block per component
-    u: np.ndarray
-    offsets: tuple  # block start per component, plus total length
-
-    def constant(self, comp: int) -> complex:
-        return complex(self.values[self.offsets[comp]])
-
-    def pole_coeff(self, comp: int, k: int) -> complex:
-        return complex(self.values[self.offsets[comp] + 1 + k])
-
-
-@dataclass(frozen=True)
-class SolveDiagnostics:
-    condition_estimate: float
-    residual_norm: float
 
 
 class Solver:
@@ -201,11 +175,7 @@ class Solver:
         self.rhs = rhs
 
         # evaluation data for the coordinate map x^j = psi(Q_j) and for h_i
-        self._q_base = np.array(
-            [_basis_row(data, cp.component, cp.point, self.offsets)
-             for cp in data.Q])
-        self._q_phase = np.array(
-            [_phase_vector(data, cp.component, cp.point) for cp in data.Q])
+        self._q_base, self._q_phase = _point_rows(data, data.Q, self.offsets)
         self._h_base, self._h_phase = _leading_rows(data, self.offsets)
         # row_scatter[t, i] = 1 where term t sits in row i, so that
         # (terms, ...) @ row_scatter sums term contributions per row
@@ -262,6 +232,14 @@ class Solver:
         """h_i(u) from coefficients already solved at the same batch of u."""
         return np.exp(us @ self._h_phase.T) * (coeffs @ self._h_base.T)
 
+    def psi_from(self, us: np.ndarray, coeffs: np.ndarray, points) -> np.ndarray:
+        """psi(u) at the given CurvePoints, shape (m, len(points)), from
+        coefficients already solved at the same batch of u. Raises
+        EssentialSingularity at a phase pole and PoleEvaluation at an
+        ansatz pole."""
+        base, phase = _point_rows(self.data, points, self.offsets)
+        return np.exp(us @ phase.T) * (coeffs @ base.T)
+
     def jet(self, us: np.ndarray, order: int = 3) -> list:
         """x(u) and its exact u-derivatives up to `order` (0 to 3).
 
@@ -298,40 +276,3 @@ class Solver:
         return [np.moveaxis(_leibniz(growth, rational, k), k, 0)
                 for k in range(order + 1)]
 
-
-def assemble_system(data: SpectralData, u):
-    solver = Solver(data)
-    A = solver.matrices(np.asarray(u, dtype=float))[0]
-    return A, solver.rhs.copy()
-
-
-def solve_coefficients(data: SpectralData, u):
-    solver = Solver(data)
-    u = np.asarray(u, dtype=float)
-    coeffs, cond, resid = solver.solve_batch(u)
-    vec = CoefficientVector(values=coeffs[0], u=u, offsets=solver.offsets)
-    return vec, SolveDiagnostics(condition_estimate=float(cond[0]),
-                                 residual_norm=float(resid[0]))
-
-
-def eval_psi(data: SpectralData, coeffs: CoefficientVector, p: CurvePoint) -> complex:
-    comp = data.ansatz[p.component]
-    offsets = coeffs.offsets
-    row = _basis_row(data, p.component, p.point, offsets)
-    lo, hi = offsets[p.component], offsets[p.component + 1]
-    rational = row[lo:hi] @ coeffs.values[lo:hi]
-    return exp_factor(comp, coeffs.u, p.point) * rational
-
-
-def coordinate_map(data: SpectralData, u):
-    """x(u) with a reality report (largest imaginary part over the n outputs)."""
-    solver = Solver(data)
-    x = solver.map_batch(np.asarray(u, dtype=float))[0]
-    return x, float(np.max(np.abs(x.imag)))
-
-
-def h_values(data: SpectralData, coeffs: CoefficientVector) -> np.ndarray:
-    """Leading coefficients h_i at coeffs.u from the given coefficients."""
-    h_base, h_phase = _leading_rows(data, coeffs.offsets)
-    u = np.asarray(coeffs.u, dtype=float)
-    return np.exp(h_phase @ u) * (h_base @ coeffs.values)

@@ -36,6 +36,9 @@ EXIT_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_DRESSING = 4
 
+# worker threads for the per-sample geometry reports of `verify`
+VERIFY_WORKERS = min(8, os.cpu_count() or 1)
+
 
 @dataclass
 class RunConfig:
@@ -50,8 +53,10 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        if self.tol is not None and self.tol <= 0:
-            raise InputError("tolerances must be positive")
+        if self.tol is not None and not (np.isfinite(self.tol)
+                                         and self.tol > 0):
+            raise InputError(f"--tol must be finite and positive, "
+                             f"got {self.tol}")
         if self.grid:
             for axis, values in self.grid.items():
                 if len(values) < 2:
@@ -61,9 +66,12 @@ class RunConfig:
 
 def _parse_u(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        u = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InputError(f"cannot parse --u {text!r}: {exc}") from None
+    if not np.all(np.isfinite(u)):
+        raise InputError(f"--u components must be finite, got {text!r}")
+    return u
 
 
 def _parse_grid(text: str) -> dict:
@@ -85,6 +93,8 @@ def _parse_grid(text: str) -> dict:
             raise InputError(f"bad grid segment {part!r}: {exc}") from None
         if axis < 1:
             raise InputError("grid axes are 1-based")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InputError(f"--grid bounds must be finite, got {part!r}")
         out[axis - 1] = np.linspace(lo, hi, count)
     if not out:
         raise InputError("empty grid spec")
@@ -128,18 +138,6 @@ def _emit(text: str, out: str = None) -> None:
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _max_workers() -> int:
-    env = os.environ.get("SPECTRAL_COORDS_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputError("SPECTRAL_COORDS_THREADS must be an integer")
-        if cap >= 1:
-            return cap
-    return min(8, os.cpu_count() or 1)
 
 
 def _fd_configs(cfg: RunConfig):
@@ -251,7 +249,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     solver = baker.Solver(data)
     source = _geometry_source(cfg, solver)
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=VERIFY_WORKERS) as pool:
         reports = list(pool.map(
             lambda u: geometry.build_report(source, u, fd_first, fd_second),
             samples))

@@ -63,9 +63,8 @@ class EssentialTerm:
 class ComponentAnsatz:
     essential: tuple = ()
     poles: tuple = ()
-    has_constant: bool = True
 
-    def __init__(self, essential=(), poles=(), has_constant=True):
+    def __init__(self, essential=(), poles=()):
         essential = tuple(essential)
         poles = tuple(require_finite(p, "ansatz pole") for p in poles)
         for i, p in enumerate(poles):
@@ -76,11 +75,8 @@ class ComponentAnsatz:
                 if term.phase.order_at(p) < 0:
                     raise InputError(
                         f"ansatz pole {p} collides with a phase pole")
-        if not has_constant:
-            raise InputError("ansatz without constant term is not supported")
         object.__setattr__(self, "essential", essential)
         object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "has_constant", True)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ differential reduction identity fails, and with it the skew system.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import (IncompatibleField, InputError, SingularFredholm,
                      TailTooFat)
-from .geometry import SystemResiduals
+from .geometry import SystemResiduals, rotation_systems
 
 TAIL_BOUND = 1e-10
 FREDHOLM_CONDITION_LIMIT = 1e12
@@ -343,18 +342,8 @@ def check_beta_systems(beta_fn, n: int, u, h: float = 1e-3) -> SystemResiduals:
         e[k] = h
         dbeta[k] = (np.asarray(beta_fn(u + e)) - np.asarray(beta_fn(u - e))) \
             / (2 * h)
-    out = SystemResiduals()
-    for i, j, k in itertools.permutations(range(n), 3):
-        if i < j:
-            out.eq4.append(dbeta[k, i, j] - beta0[i, k] * beta0[k, j])
-            out.eq4.append(dbeta[k, j, i] - beta0[j, k] * beta0[k, i])
-    for i, j in itertools.combinations(range(n), 2):
-        term = dbeta[i, i, j] + dbeta[j, j, i]
-        for k in range(n):
-            if k != i and k != j:
-                term += beta0[k, i] * beta0[k, j]
-        out.eq5.append(term)
-    return out
+    eq4, eq5 = rotation_systems(beta0, dbeta)
+    return SystemResiduals(eq4=eq4, eq5=eq5)
 
 
 # ---------------------------------------------------------------------------

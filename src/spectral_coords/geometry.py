@@ -285,20 +285,33 @@ def _systems(H, dH, d2H) -> SystemResiduals:
                 term += dH[k, i] * dH[k, j] / H[k] ** 2
         out.eq2.append(float(term))
 
-    beta, dbeta = _rotation(H, dH, d2H)
+    out.eq4, out.eq5 = rotation_systems(*_rotation(H, dH, d2H))
+    return out
+
+
+def rotation_systems(beta, dbeta):
+    """Residuals (eq4, eq5) of the two rotation-coefficient systems,
+
+        d_k beta_ij = beta_ik beta_kj                  (i, j, k distinct),
+        d_i beta_ij + d_j beta_ji + sum_k beta_ki beta_kj = 0,
+
+    from beta[i, j] and dbeta[k, i, j] = d beta[i, j] / du^k. eq4 is
+    empty for n = 2.
+    """
+    n = beta.shape[0]
+    eq4, eq5 = [], []
     for i, j, k in itertools.permutations(range(n), 3):
         if i < j:  # each ordered pair (i,j) once per admissible k
-            out.eq4.append(float(dbeta[k, i, j] - beta[i, k] * beta[k, j]))
-            out.eq4.append(float(dbeta[k, j, i] - beta[j, k] * beta[k, i]))
+            eq4.append(float(dbeta[k, i, j] - beta[i, k] * beta[k, j]))
+            eq4.append(float(dbeta[k, j, i] - beta[j, k] * beta[k, i]))
 
     for i, j in itertools.combinations(range(n), 2):
         term = dbeta[i, i, j] + dbeta[j, j, i]
         for k in range(n):
             if k != i and k != j:
                 term += beta[k, i] * beta[k, j]
-        out.eq5.append(float(term))
-
-    return out
+        eq5.append(float(term))
+    return eq4, eq5
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ class Infinity:
 
 INF = Infinity()
 
-# A point on the sphere: a finite complex number or INF.
-Point = "complex | Infinity"
-
 
 def is_inf(p) -> bool:
     return isinstance(p, Infinity)

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+import spectral_coords
 import spectral_coords.gallery as gallery
 from spectral_coords import baker
 from spectral_coords.cli import main
@@ -211,15 +214,33 @@ def test_solve_fd_flags_select_the_fd_jet(polar_file, capsys):
     assert fd["H"] != exact["H"]
 
 
-def test_verify_thread_env(polar_file, capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_COORDS_THREADS", "2")
-    code, out, _ = run(capsys, "verify", polar_file,
-                       "--grid", "1:-0.2:0.2:2")
-    assert code == 0 and json.loads(out)["passed"]
-    monkeypatch.setenv("SPECTRAL_COORDS_THREADS", "many")
-    code, _, err = run(capsys, "verify", polar_file,
-                       "--grid", "1:-0.2:0.2:2")
-    assert code == 2 and "integer" in err
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_an_input_error(polar_file, tmp_path,
+                                                capsys, tol):
+    # a nan bound made every `value > bound` gate false, so verify passed
+    code, out, err = run(capsys, "verify", polar_file,
+                         "--grid", "1:-0.3:0.3:2", "--tol", tol)
+    assert code == 2 and "--tol" in err and out == ""
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(KERNEL2))
+    code, out, err = run(capsys, "dress", str(path), "--tol", tol)
+    assert code == 2 and "--tol" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "--u", "nan,0"), "--u"),
+    (("solve", "--u", "0.1,inf"), "--u"),
+    (("verify", "--grid", "1:0:inf:2"), "--grid"),
+    (("grid", "--grid", "1:nan:1:3"), "--grid"),
+])
+def test_non_finite_parameters_are_refused_when_parsed(polar_file, capsys,
+                                                       argv, flag):
+    with warnings.catch_warnings():
+        # refused before any numerics run, so numpy has nothing to warn about
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, argv[0], polar_file, *argv[1:])
+    assert code == 2 and out == ""
+    assert flag in err and "finite" in err
 
 
 def test_grid_emits_row_major_csv(tmp_path, capsys):
@@ -298,10 +319,14 @@ def test_dress_rejects_unknown_family(tmp_path, capsys):
 
 
 def test_module_entry_point(polar_file):
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(spectral_coords.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "spectral_coords", "solve", polar_file,
          "--u", "0.0,0.0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     result = json.loads(proc.stdout)
     assert result["x"][0][0] == pytest.approx(1.0, abs=1e-10)

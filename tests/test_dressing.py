@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import spectral_coords.gallery as gallery
+from spectral_coords import geometry
+from spectral_coords.baker import Solver
 from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
                                       _cumulative_integral, build_F,
                                       check_beta_systems, check_F_equations,
@@ -380,3 +383,20 @@ def test_cumulative_integral_is_exact_on_cubics():
     F = _cumulative_integral(f, x[1] - x[0], axis=0)
     exact = x ** 4 / 4.0 - x ** 2 + 0.5 * x
     assert np.max(np.abs(F - exact)) < 1e-14
+
+
+@pytest.mark.parametrize("name",
+                         ["spherical3", "spherical4", "cylindrical", "polar"])
+def test_beta_checker_agrees_with_the_spectral_route(name):
+    # the FD checker of the dressing route, fed the rotation field of a
+    # spectral map, against the exact jet check of the same systems
+    solver = Solver(gallery.build(name).data)
+    n = solver.data.n
+    u = rng.uniform(-0.3, 0.3, size=n)
+    fd = check_beta_systems(lambda v: geometry.rotation(solver, v), n, u)
+    exact = geometry.check_systems(solver, u)
+    assert len(fd.eq4) == len(exact.eq4)
+    assert len(fd.eq5) == len(exact.eq5)
+    # h = 1e-3 central differences on a smooth field
+    assert fd.max_abs() <= 1e-5
+    assert max(map(abs, exact.eq4 + exact.eq5), default=0.0) <= 1e-12
