@@ -18,6 +18,7 @@ differential reduction identity fails, and with it the skew system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,11 @@ from .errors import (IncompatibleField, InputError, SingularFredholm,
 from .geometry import SystemResiduals, rotation_systems
 
 TAIL_BOUND = 1e-10
+# Gate on sqrt(kappa_1 * kappa_inf) of the Nystrom matrix, with
+# kappa_p = ||M||_p ||M^-1||_p taken from the inverse that also gives K.
+# Since ||A||_2 <= sqrt(||A||_1 ||A||_inf), this bounds the 2-norm
+# condition number from above: every matrix an SVD gate at this limit
+# refuses is refused here too.
 FREDHOLM_CONDITION_LIMIT = 1e12
 
 
@@ -233,6 +239,8 @@ class Grid:
     rule: str = "gauss-legendre"
 
     def __post_init__(self):
+        if not (math.isfinite(self.s) and math.isfinite(self.s_max)):
+            raise InputError("grid bounds s and s_max must be finite")
         if not self.s < self.s_max:
             raise InputError("need s < s_max")
         if self.N < 8:
@@ -247,9 +255,18 @@ class Grid:
             w[0] *= 0.5
             w[-1] *= 0.5
             return q, w
-        x, w = np.polynomial.legendre.leggauss(self.N)
+        x, w = _gauss_legendre(self.N)
         half = 0.5 * (self.s_max - self.s)
         return self.s + half * (x + 1.0), half * w
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(N: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(N)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass
@@ -280,7 +297,15 @@ class MarchenkoSolution:
 
 def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None,
                            u=None) -> MarchenkoSolution:
-    """Nystrom solve for a raw kernel callable F_fn(q, q') -> (n, n, A, B)."""
+    """Nystrom solve for a raw kernel callable F_fn(q, q') -> (n, n, A, B).
+
+    The (nN, nN) matrix M is inverted once; K comes from that inverse and
+    so does the reported condition, sqrt(kappa_1 * kappa_inf) with
+    kappa_p = ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm
+    condition number (||A||_2 <= sqrt(||A||_1 ||A||_inf), Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 6) and at most
+    nN times it. A singular M, or a bound above FREDHOLM_CONDITION_LIMIT,
+    raises SingularFredholm."""
     q, w = grid.nodes()
     span = max(1.0, grid.s_max - grid.s)
     scan = grid.s_max + np.linspace(0.0, 0.5 * span, 17)
@@ -289,18 +314,25 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None,
         raise TailTooFat(
             f"|F| reaches {tail:.3e} beyond s_max = {grid.s_max}")
 
-    G = F_fn(q, q)  # [c, b, k, j] = F_cb(q_k, q_j)
     N = grid.N
     size = n * N
-    M = np.eye(size) - (G * w[None, None, :, None]) \
+    # F_fn(q, q)[c, b, k, j] = F_cb(q_k, q_j), not kept past assembly
+    M = np.eye(size) - (F_fn(q, q) * w[None, None, :, None]) \
         .transpose(1, 3, 0, 2).reshape(size, size)
-    cond = float(np.linalg.cond(M))
+    try:
+        Minv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFredholm(
+            f"discretized operator is singular ({exc})") from exc
+    cond = math.sqrt(
+        np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
+        * np.linalg.norm(M, np.inf) * np.linalg.norm(Minv, np.inf))
     if not math.isfinite(cond) or cond > FREDHOLM_CONDITION_LIMIT:
         raise SingularFredholm(f"discretized operator condition {cond:.3e}")
 
     F_s = F_fn(np.array([grid.s]), q)[:, :, 0, :]  # [a, b, j]
     rhs = F_s.transpose(1, 2, 0).reshape(size, n)
-    sol = np.linalg.solve(M, rhs)
+    sol = Minv @ rhs
     residual = float(np.max(np.abs(M @ sol - rhs)))
     K_nodes = sol.reshape(n, N, n).transpose(2, 0, 1)
     return MarchenkoSolution(spec=spec, u=u, grid=grid, q=q, w=w,

@@ -243,6 +243,18 @@ def test_non_finite_parameters_are_refused_when_parsed(polar_file, capsys,
     assert flag in err and "finite" in err
 
 
+@pytest.mark.parametrize("bound", [("--s-max", "inf"), ("--s=-inf",),
+                                   ("--s", "nan")])
+def test_dress_refuses_non_finite_grid_bounds(tmp_path, capsys, bound):
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(KERNEL2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "dress", str(path), *bound)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_grid_emits_row_major_csv(tmp_path, capsys):
     path = tmp_path / "euclid.json"
     path.write_text(json.dumps(gallery.build("euclidean2").data.to_json()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import spectral_coords.gallery as gallery
 from spectral_coords import geometry
 from spectral_coords.baker import Solver
 from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
-                                      _cumulative_integral, build_F,
-                                      check_beta_systems, check_F_equations,
-                                      lame_from_rotation,
+                                      _cumulative_integral, _gauss_legendre,
+                                      build_F, check_beta_systems,
+                                      check_F_equations, lame_from_rotation,
                                       rotation_from_dressing, solve_marchenko,
                                       solve_marchenko_kernel)
 from spectral_coords.errors import (IncompatibleField, InputError,
@@ -177,6 +178,23 @@ def test_grid_validation():
         Grid(s=0.0, s_max=1.0, N=4)
     with pytest.raises(InputError):
         Grid(s=0.0, s_max=1.0, rule="simpson")
+    for s, s_max in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(InputError):
+            Grid(s=s, s_max=s_max)
+
+
+def test_node_cache_hands_out_fresh_arrays():
+    grid = Grid(s=-1.0, s_max=2.0, N=24)
+    q, w = grid.nodes()
+    q0, w0 = q.copy(), w.copy()
+    q[:] = 0.0
+    w *= 2.0
+    q1, w1 = grid.nodes()
+    assert np.array_equal(q1, q0) and np.array_equal(w1, w0)
+    x, wx = _gauss_legendre(24)
+    assert not x.flags.writeable and not wx.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 # -- Marchenko solve --------------------------------------------------------
@@ -257,6 +275,81 @@ def test_unit_mass_kernel_is_singular():
     with pytest.raises(SingularFredholm):
         solve_marchenko_kernel(rank_one_F(phi, psi), 1,
                                Grid(s=-5.0, s_max=9.0, N=200))
+
+
+def nystrom_matrix(F_fn, n, grid):
+    """The Nystrom matrix I - F(q_k, q_j) w_k in the solver's block layout,
+    rows (b, j) and columns (c, k)."""
+    q, w = grid.nodes()
+    size = n * grid.N
+    G = F_fn(q, q) * w[None, None, :, None]
+    return np.eye(size) - G.transpose(1, 3, 0, 2).reshape(size, size)
+
+
+def perturbed_spec3(gen) -> KernelSpec:
+    """The acceptance spec with every amplitude, rate and centre jittered."""
+    def jitter(f):
+        return Factor("gaussian", f.amp * gen.uniform(0.8, 1.2),
+                      f.width * gen.uniform(0.9, 1.1),
+                      f.center + gen.uniform(-0.1, 0.1))
+    return KernelSpec(3, [PhiEntry(e.i, e.j, jitter(e.first), jitter(e.second))
+                          for e in make_spec3().entries])
+
+
+def spec_kernel(spec, u):
+    return lambda qa, qb: build_F(spec, u, np.asarray(qa)[:, None],
+                                  np.asarray(qb)[None, :])
+
+
+@pytest.mark.parametrize("N", [32, 200])
+def test_reported_condition_bounds_the_two_norm_condition(N):
+    # sqrt(kappa_1 kappa_inf) >= kappa_2 because ||A||_2 <= sqrt(||A||_1
+    # ||A||_inf); and each of ||A||_1, ||A||_inf is at most sqrt(nN) ||A||_2
+    gen = np.random.default_rng(5150 + N)
+    grid = Grid(s=-2.0, s_max=7.0, N=N)
+    for _ in range(4):
+        spec = perturbed_spec3(gen)
+        u = gen.uniform(-0.3, 0.3, size=3)
+        sol = solve_marchenko(spec, u, grid)
+        kappa2 = np.linalg.cond(nystrom_matrix(spec_kernel(spec, u), 3, grid))
+        assert 1.0 <= sol.condition / kappa2 <= 3 * N
+
+
+def test_exactly_singular_operator_raises_singular_fredholm():
+    # trapezoid weights on [0, 1] with 9 nodes are 1/8 (1/16 at the ends),
+    # so F = 8 at the node pair (k0, k0) makes column k0 of M exactly zero
+    grid = Grid(s=0.0, s_max=1.0, N=9, rule="trapezoid")
+    q, w = grid.nodes()
+    k0 = 4
+    assert w[k0] == 0.125
+
+    def F_fn(qa, qb):
+        hit = (np.asarray(qa)[:, None] == q[k0]) \
+            & (np.asarray(qb)[None, :] == q[k0])
+        return np.where(hit, 8.0, 0.0)[None, None]
+
+    assert not np.any(nystrom_matrix(F_fn, 1, grid)[:, k0])
+    with pytest.raises(SingularFredholm):
+        solve_marchenko_kernel(F_fn, 1, grid)
+
+
+def test_solution_matches_a_direct_solve():
+    spec = make_spec3()
+    grid = Grid(s=-2.0, s_max=7.0, N=200)
+    gen = np.random.default_rng(77)
+    for u in gen.uniform(-0.3, 0.3, size=(3, 3)):
+        F_fn = spec_kernel(spec, u)
+        sol = solve_marchenko_kernel(F_fn, 3, grid, spec=spec, u=u)
+        F_s = F_fn(np.array([grid.s]), sol.q)[:, :, 0, :]
+        rhs = F_s.transpose(1, 2, 0).reshape(3 * grid.N, 3)
+        direct = np.linalg.solve(nystrom_matrix(F_fn, 3, grid), rhs)
+        K_ref = direct.reshape(3, grid.N, 3).transpose(2, 0, 1)
+        scale = np.max(np.abs(K_ref))
+        assert np.max(np.abs(sol.K_nodes - K_ref)) <= 1e-12 * scale
+        beta_ref = dataclasses.replace(sol, K_nodes=K_ref).diagonal().T
+        beta = rotation_from_dressing(spec, u, grid)
+        assert np.max(np.abs(beta - beta_ref)) \
+            <= 1e-12 * np.max(np.abs(beta_ref))
 
 
 # -- rotation coefficients from the kernel ----------------------------------
