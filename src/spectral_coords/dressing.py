@@ -11,6 +11,14 @@ is solved by Nystrom collocation on a truncated grid, and K(s, s) yields
 a rotation-coefficient matrix whose compatibility systems are then checked
 by finite differences over u.
 
+Every entry of a spec's F is a sum of products of one-variable factors,
+so its Nystrom matrix is M = I - U V^T with two columns per entry, and a
+spec is solved through the R x R system I - V^T U (Woodbury identity; the
+degenerate-kernel method, Atkinson, The Numerical Solution of Integral
+Equations of the Second Kind, ch. 2). A raw kernel callable gets the dense
+(nN, nN) solve. Both routes form M and its inverse and gate on the same
+condition bound.
+
 Sign note: the second member of each off-diagonal pair is taken as
 F_ji(s, s') = -d2 Phi_ij(s' - u^i, s - u^j); with the opposite sign the
 differential reduction identity fails, and with it the skew system.
@@ -51,6 +59,8 @@ class Factor:
     def __post_init__(self):
         if self.family not in ("gaussian", "bump"):
             raise InputError(f"unknown factor family {self.family!r}")
+        if not all(map(math.isfinite, (self.amp, self.width, self.center))):
+            raise InputError("factor amp, width/rate and center must be finite")
         if self.width <= 0:
             raise InputError("factor width/rate must be positive")
 
@@ -79,6 +89,14 @@ class Factor:
     def to_json(self) -> dict:
         key = "rate" if self.family == "gaussian" else "width"
         return {"amp": self.amp, key: self.width, "center": self.center}
+
+
+def _json_int(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if type(value) is not int:
+        raise InputError(f"kernel spec field {key!r} must be an integer, "
+                         f"got {value!r}")
+    return value
 
 
 def _factor_from_json(family: str, obj) -> Factor:
@@ -169,10 +187,32 @@ class KernelSpec:
             base = family.split("-")[0]
             params = item.get("params", {})
             entries.append(PhiEntry(
-                i=int(item["i"]), j=int(item["j"]),
+                i=_json_int(item, "i"), j=_json_int(item, "j"),
                 first=_factor_from_json(base, params.get("first")),
                 second=_factor_from_json(base, params.get("second"))))
-        return cls(n=int(obj["n"]), entries=entries)
+        return cls(n=_json_int(obj, "n"), entries=entries)
+
+    def factors(self, u, q, w) -> tuple:
+        """Rank-R factors (U, V), each (n N, R), of the Nystrom operator at
+        nodes q with weights w: (U V^T)[(b, j), (c, k)] = w_k F_cb(q_k, q_j),
+        the block layout of solve_marchenko_kernel.
+
+        Entry (i, j) gives two columns: F_ij(x, y) = first'(x - u^i)
+        second(y - u^j) and, with build_F's sign, F_ji(x, y) =
+        -second'(x - u^j) first(y - u^i). For i = j the two add up to the
+        antisymmetrized diagonal entry, so R = 2 * len(entries)."""
+        u = np.asarray(u, dtype=float)
+        q = np.asarray(q, dtype=float)
+        N = q.size
+        U = np.zeros((self.n, N, 2 * len(self.entries)))
+        V = np.zeros_like(U)
+        for t, e in enumerate(self.entries):
+            xi, xj = q - u[e.i - 1], q - u[e.j - 1]
+            U[e.j - 1, :, 2 * t] = e.second.value(xj)
+            V[e.i - 1, :, 2 * t] = w * e.first.dvalue(xi)
+            U[e.i - 1, :, 2 * t + 1] = e.first.value(xi)
+            V[e.j - 1, :, 2 * t + 1] = -w * e.second.dvalue(xj)
+        return U.reshape(self.n * N, -1), V.reshape(self.n * N, -1)
 
 
 def build_F(spec: KernelSpec, u, s, sp) -> np.ndarray:
@@ -295,38 +335,61 @@ class MarchenkoSolution:
         return self.k_at(self.grid.s)
 
 
-def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None,
-                           u=None) -> MarchenkoSolution:
-    """Nystrom solve for a raw kernel callable F_fn(q, q') -> (n, n, A, B).
+def _inverse(A: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFredholm(
+            f"discretized operator is singular ({exc})") from exc
 
-    The (nN, nN) matrix M is inverted once; K comes from that inverse and
-    so does the reported condition, sqrt(kappa_1 * kappa_inf) with
-    kappa_p = ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm
-    condition number (||A||_2 <= sqrt(||A||_1 ||A||_inf), Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 6) and at most
-    nN times it. A singular M, or a bound above FREDHOLM_CONDITION_LIMIT,
-    raises SingularFredholm."""
+
+def _norms_1_inf(A: np.ndarray) -> tuple:
+    """(||A||_1, ||A||_inf): np.linalg.norm's reductions over one |A|."""
+    A = np.abs(A)
+    return A.sum(axis=0).max(), A.sum(axis=1).max()
+
+
+def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None, u=None,
+                           factors=None) -> MarchenkoSolution:
+    """Nystrom solve for a kernel callable F_fn(q, q') -> (n, n, A, B).
+
+    M is the (nN, nN) Nystrom matrix. Without `factors` it is assembled
+    from F_fn and inverted densely. With `factors`, a callable
+    (q, w) -> (U, V) giving M = I - U V^T in rank R (KernelSpec.factors),
+    only the R x R matrix C = I - V^T U is inverted, and M and
+    M^-1 = I + U C^-1 V^T are formed from the factors in O((nN)^2 R).
+
+    Either way K comes from M^-1, and so does the reported condition,
+    sqrt(kappa_1 * kappa_inf) with kappa_p = ||M||_p ||M^-1||_p. That is an
+    upper bound on the 2-norm condition number (||A||_2 <=
+    sqrt(||A||_1 ||A||_inf), Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 6) and at most nN times it. A singular M or C, or a
+    bound above FREDHOLM_CONDITION_LIMIT, raises SingularFredholm."""
     q, w = grid.nodes()
     span = max(1.0, grid.s_max - grid.s)
     scan = grid.s_max + np.linspace(0.0, 0.5 * span, 17)
     tail = float(np.max(np.abs(F_fn(scan, np.concatenate([q, scan])))))
-    if tail > TAIL_BOUND:
+    if not tail <= TAIL_BOUND:
         raise TailTooFat(
             f"|F| reaches {tail:.3e} beyond s_max = {grid.s_max}")
 
     N = grid.N
     size = n * N
-    # F_fn(q, q)[c, b, k, j] = F_cb(q_k, q_j), not kept past assembly
-    M = np.eye(size) - (F_fn(q, q) * w[None, None, :, None]) \
-        .transpose(1, 3, 0, 2).reshape(size, size)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFredholm(
-            f"discretized operator is singular ({exc})") from exc
-    cond = math.sqrt(
-        np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
-        * np.linalg.norm(M, np.inf) * np.linalg.norm(Minv, np.inf))
+    if factors is None:
+        # F_fn(q, q)[c, b, k, j] = F_cb(q_k, q_j), not kept past assembly
+        M = np.eye(size) - (F_fn(q, q) * w[None, None, :, None]) \
+            .transpose(1, 3, 0, 2).reshape(size, size)
+        Minv = _inverse(M)
+    else:
+        U, V = factors(q, w)
+        Cinv = _inverse(np.eye(U.shape[1]) - V.T @ U)
+        M = (-U) @ V.T
+        M.flat[::size + 1] += 1.0
+        Minv = (U @ Cinv) @ V.T
+        Minv.flat[::size + 1] += 1.0
+    M_1, M_inf = _norms_1_inf(M)
+    Minv_1, Minv_inf = _norms_1_inf(Minv)
+    cond = math.sqrt(M_1 * Minv_1 * M_inf * Minv_inf)
     if not math.isfinite(cond) or cond > FREDHOLM_CONDITION_LIMIT:
         raise SingularFredholm(f"discretized operator condition {cond:.3e}")
 
@@ -347,7 +410,9 @@ def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
     def F_fn(qa, qb):
         return build_F(spec, u, np.asarray(qa)[:, None], np.asarray(qb)[None, :])
 
-    return solve_marchenko_kernel(F_fn, spec.n, grid, spec=spec, u=u)
+    return solve_marchenko_kernel(
+        F_fn, spec.n, grid, spec=spec, u=u,
+        factors=lambda q, w: spec.factors(u, q, w))
 
 
 def rotation_from_dressing(spec: KernelSpec, u, grid: Grid) -> np.ndarray:

@@ -255,6 +255,34 @@ def test_dress_refuses_non_finite_grid_bounds(tmp_path, capsys, bound):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("factor, key, value", [
+    ("first", "amp", math.nan), ("second", "center", math.nan),
+    ("first", "rate", math.inf), ("second", "amp", math.inf),
+])
+def test_dress_refuses_non_finite_kernel_parameters(tmp_path, capsys,
+                                                     factor, key, value):
+    # json reads NaN/Infinity; they used to reach the solver and exit 4
+    spec = json.loads(json.dumps(KERNEL2))
+    spec["phi"][1]["params"][factor][key] = value
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "dress", str(path))
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_dress_refuses_fractional_indices(tmp_path, capsys):
+    spec = json.loads(json.dumps(KERNEL2))
+    spec["phi"][0]["i"] = 1.5
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "dress", str(path))
+    assert code == 2 and out == ""
+    assert "integer" in err
+
+
 def test_grid_emits_row_major_csv(tmp_path, capsys):
     path = tmp_path / "euclid.json"
     path.write_text(json.dumps(gallery.build("euclidean2").data.to_json()))

@@ -69,6 +69,15 @@ def test_factor_validation_and_json_keys():
     assert "width" in Factor("bump", 1.0, 2.0, 0.0).to_json()
 
 
+@pytest.mark.parametrize("field", ["amp", "width", "center"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_factor_requires_finite_parameters(field, bad):
+    params = {"amp": 0.5, "width": 1.0, "center": 0.0, field: bad}
+    for family in ("gaussian", "bump"):
+        with pytest.raises(InputError, match="finite"):
+            Factor(family, **params)
+
+
 def test_kernel_spec_rejects_bad_entries():
     g = Factor("gaussian", 1.0, 1.0, 0.0)
     with pytest.raises(InputError):
@@ -89,6 +98,18 @@ def test_kernel_spec_json_round_trip():
         KernelSpec.from_json({"n": 1, "phi": [{"i": 1, "j": 1,
                                                "family": "poly-product",
                                                "params": {}}]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("i", 1.5), ("j", 2.5), ("i", True), ("j", "2"), ("i", None),
+    ("n", 2.5), ("n", False),
+])
+def test_kernel_spec_indices_must_be_integers(key, value):
+    obj = make_spec2().to_json()
+    target = obj if key == "n" else obj["phi"][1]
+    target[key] = value
+    with pytest.raises(InputError, match="integer"):
+        KernelSpec.from_json(obj)
 
 
 # -- the kernel matrix ------------------------------------------------------
@@ -266,6 +287,15 @@ def test_fat_tail_is_refused():
         solve_marchenko(spec, np.zeros(1), Grid(s=-2.0, s_max=7.0, N=64))
 
 
+def test_non_finite_kernel_is_refused_as_fat_tail():
+    # NaN compares false, so the gate has to accept only tails known small
+    def F_fn(qa, qb):
+        return np.full((1, 1, np.size(qa), np.size(qb)), np.nan)
+
+    with pytest.raises(TailTooFat):
+        solve_marchenko_kernel(F_fn, 1, Grid(s=-2.0, s_max=6.0, N=16))
+
+
 def test_unit_mass_kernel_is_singular():
     # tuned so the tail integral of phi*psi from s is 1 to machine
     # precision, putting an eigenvalue of the discretized operator at 0
@@ -331,6 +361,117 @@ def test_exactly_singular_operator_raises_singular_fredholm():
     assert not np.any(nystrom_matrix(F_fn, 1, grid)[:, k0])
     with pytest.raises(SingularFredholm):
         solve_marchenko_kernel(F_fn, 1, grid)
+
+
+def test_exactly_singular_low_rank_system_raises_singular_fredholm():
+    # the kernel of the test above as a rank-one operator: U = V = e_k0,
+    # so C = I - V^T U = 0
+    grid = Grid(s=0.0, s_max=1.0, N=9, rule="trapezoid")
+    q, w = grid.nodes()
+    k0 = 4
+
+    def F_fn(qa, qb):
+        hit = (np.asarray(qa)[:, None] == q[k0]) \
+            & (np.asarray(qb)[None, :] == q[k0])
+        return np.where(hit, 8.0, 0.0)[None, None]
+
+    def factors(q, w):
+        unit = np.zeros((grid.N, 1))
+        unit[k0] = 1.0
+        return unit, unit.copy()
+
+    U, V = factors(q, w)
+    assert np.array_equal(np.eye(grid.N) - U @ V.T,
+                          nystrom_matrix(F_fn, 1, grid))
+    with pytest.raises(SingularFredholm):
+        solve_marchenko_kernel(F_fn, 1, grid, factors=factors)
+
+
+def layout_specs():
+    g = lambda *a: Factor("gaussian", *a)
+    b = lambda *a: Factor("bump", *a)
+    return {
+        "acceptance": make_spec3(),
+        "bump": KernelSpec(2, (
+            PhiEntry(1, 1, b(0.5, 1.5, 0.2), b(0.4, 1.2, -0.3)),
+            PhiEntry(1, 2, b(0.3, 2.0, 0.5), b(0.6, 1.0, 0.0)),
+            PhiEntry(2, 2, b(0.2, 1.8, -0.4), b(0.5, 1.4, 0.3)))),
+        "sparse4": KernelSpec(4, (
+            PhiEntry(1, 3, g(0.3, 1.1, -0.1), g(0.2, 1.0, 0.25)),
+            PhiEntry(2, 2, g(0.2, 1.3, 0.2), g(0.3, 0.8, 0.5)),
+            PhiEntry(2, 4, g(0.25, 0.9, 0.15), g(0.3, 1.2, -0.3)),
+            PhiEntry(4, 4, g(0.35, 1.0, 0.0), g(0.15, 1.1, 0.3)))),
+        "n1": KernelSpec(1, (
+            PhiEntry(1, 1, g(0.3, 1.2, 0.4), g(0.25, 0.9, -0.2)),)),
+        "empty": KernelSpec(2, ()),
+    }
+
+
+@pytest.mark.parametrize("name", list(layout_specs()))
+def test_factors_reproduce_the_nystrom_matrix(name):
+    spec = layout_specs()[name]
+    grid = Grid(s=-2.0, s_max=7.0, N=48)
+    u = np.random.default_rng(31).uniform(-0.3, 0.3, size=spec.n)
+    q, w = grid.nodes()
+    U, V = spec.factors(u, q, w)
+    size = spec.n * grid.N
+    assert U.shape == V.shape == (size, 2 * len(spec.entries))
+    ref = nystrom_matrix(spec_kernel(spec, u), spec.n, grid)
+    assert np.max(np.abs(np.eye(size) - U @ V.T - ref)) \
+        <= 1e-14 * np.max(np.abs(ref))
+    if not spec.entries:
+        sol = solve_marchenko(spec, u, grid)
+        assert not np.any(sol.K_nodes) and sol.condition == 1.0
+
+
+@pytest.mark.parametrize("N", [32, 200])
+def test_low_rank_and_dense_routes_agree(N):
+    gen = np.random.default_rng(6060 + N)
+    grid = Grid(s=-2.0, s_max=7.0, N=N)
+    for _ in range(3):
+        spec = perturbed_spec3(gen)
+        u = gen.uniform(-0.3, 0.3, size=3)
+        low = solve_marchenko(spec, u, grid)
+        dense = solve_marchenko_kernel(spec_kernel(spec, u), 3, grid,
+                                       spec=spec, u=u)
+        scale = np.max(np.abs(dense.K_nodes))
+        assert np.max(np.abs(low.K_nodes - dense.K_nodes)) <= 1e-12 * scale
+        beta, beta_ref = low.diagonal().T, dense.diagonal().T
+        assert np.max(np.abs(beta - beta_ref)) \
+            <= 1e-12 * np.max(np.abs(beta_ref))
+        assert abs(low.condition - dense.condition) \
+            <= 1e-12 * dense.condition
+
+
+def test_routes_share_the_gate_across_an_amplitude_sweep():
+    # F scales with lambda^2; the gate value peaks near lambda = 4.7426,
+    # where an eigenvalue of the discretized operator passes close to 1
+    base = make_spec3()
+    grid = Grid(s=-2.0, s_max=7.0, N=200)
+    u = np.zeros(3)
+
+    def scaled(f, lam):
+        return dataclasses.replace(f, amp=f.amp * lam)
+
+    def gate(solve):
+        try:
+            return solve().condition
+        except SingularFredholm:
+            return None
+
+    peak = 0.0
+    for lam in np.append(np.linspace(1.0, 12.0, 23), 4.7426):
+        spec = KernelSpec(3, [
+            PhiEntry(e.i, e.j, scaled(e.first, lam), scaled(e.second, lam))
+            for e in base.entries])
+        low = gate(lambda: solve_marchenko(spec, u, grid))
+        dense = gate(lambda: solve_marchenko_kernel(spec_kernel(spec, u), 3,
+                                                    grid))
+        assert (low is None) == (dense is None)
+        if dense is not None:
+            assert abs(low - dense) <= 1e-10 * dense
+            peak = max(peak, dense)
+    assert peak > 1e5
 
 
 def test_solution_matches_a_direct_solve():
