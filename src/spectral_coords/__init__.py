@@ -22,10 +22,10 @@ from .dressing import (Factor, Grid, KernelSpec, LameResult,
                        solve_marchenko, solve_marchenko_kernel)
 from .errors import (CountMismatch, DegenerateParameters, DivisorMismatch,
                      EssentialSingularity, IncompatibleField, InputError,
-                     Mismatch, NoIsolation, NonConvergence, NonPositive,
-                     NonPositiveDiagonal, NotInvolution, PNotFixed,
-                     PoleEvaluation, SingularFredholm, SingularSystem,
-                     SpectralError, StencilFailure, TailTooFat)
+                     Mismatch, NoIsolation, NonPositive, NonPositiveDiagonal,
+                     NotInvolution, PNotFixed, PoleEvaluation,
+                     SingularFredholm, SingularSystem, SpectralError,
+                     StencilFailure, TailTooFat)
 from .gallery import GalleryEntry, build, reference_residual
 from .geometry import (FDConfig, FIRST_DERIVATIVE_FD, GeometryReport, Jet,
                        SECOND_DERIVATIVE_FD, SystemResiduals, build_report,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (CountMismatch, DivisorMismatch, InputError, Mismatch,
                      NonPositive, NotInvolution, PNotFixed)
 from .numerics import (INF, FactoredRational, RationalDifferential,
-                       complex_from_json, complex_to_json, is_inf,
+                       complex_from_json, complex_to_json, is_inf, json_int,
                        point_from_json, point_to_json, require_finite,
                        same_point)
 
@@ -32,7 +32,8 @@ class CurvePoint:
     def from_json(cls, obj) -> "CurvePoint":
         if not isinstance(obj, dict) or "component" not in obj or "point" not in obj:
             raise InputError(f"expected curve-point object, got {obj!r}")
-        return cls(int(obj["component"]), point_from_json(obj["point"]))
+        return cls(json_int(obj["component"], "component"),
+                   point_from_json(obj["point"]))
 
 
 def same_curve_point(p: CurvePoint, q: CurvePoint, tol=None) -> bool:
@@ -163,7 +164,7 @@ class InvolutionSpec:
             raise InputError(f"expected involution object, got {obj!r}")
         moebius = [tuple(complex_from_json(c) for c in row)
                    for row in obj["moebius"]]
-        return cls(obj["perm"], moebius)
+        return cls([json_int(k, "perm entry") for k in obj["perm"]], moebius)
 
 
 @dataclass(frozen=True)
@@ -292,20 +293,20 @@ class SpectralData:
             if key not in obj:
                 raise InputError(f"configuration missing field {key!r}")
         try:
-            ansatz = tuple(
-                ComponentAnsatz(
-                    essential=[EssentialTerm(int(t["var"]),
+            ansatz = []
+            for comp in obj["ansatz"]:
+                if not isinstance(comp, dict):
+                    raise InputError(f"expected component ansatz, got {comp!r}")
+                ansatz.append(ComponentAnsatz(
+                    essential=[EssentialTerm(json_int(t["var"], "var"),
                                              FactoredRational.from_json(t["phase"]))
                                for t in comp.get("essential", [])],
                     poles=[complex_from_json(p) for p in comp.get("poles", [])],
-                )
-                for comp in obj["ansatz"]
-            )
+                ))
             gluings = tuple(Gluing([CurvePoint.from_json(p) for p in g])
                             for g in obj["gluings"])
             normalizations = tuple(
-                Normalization(CurvePoint(int(nm["component"]),
-                                         point_from_json(nm["point"])),
+                Normalization(CurvePoint.from_json(nm),
                               complex_from_json(nm["value"]))
                 for nm in obj["normalizations"])
             Q = tuple(CurvePoint.from_json(p) for p in obj["Q"])
@@ -317,10 +318,11 @@ class SpectralData:
                 sigma = InvolutionSpec.from_json(obj["sigma"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed configuration: {exc}") from exc
-        data = cls(n=int(obj["n"]), ansatz=ansatz, gluings=gluings,
+        data = cls(n=json_int(obj["n"], "n"), ansatz=ansatz, gluings=gluings,
                    normalizations=normalizations, Q=Q, P_markers=P,
                    omega=omega, sigma=sigma)
-        if "components" in obj and int(obj["components"]) != data.components:
+        if "components" in obj \
+                and json_int(obj["components"], "components") != data.components:
             raise InputError("declared component count disagrees with ansatz")
         return data
 

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (IncompatibleField, InputError, SingularFredholm,
                      TailTooFat)
 from .geometry import SystemResiduals, rotation_systems
+from .numerics import json_int, json_real
 
 TAIL_BOUND = 1e-10
 # Gate on sqrt(kappa_1 * kappa_inf) of the Nystrom matrix, with
@@ -91,22 +92,13 @@ class Factor:
         return {"amp": self.amp, key: self.width, "center": self.center}
 
 
-def _json_int(obj: dict, key: str) -> int:
-    value = obj.get(key)
-    if type(value) is not int:
-        raise InputError(f"kernel spec field {key!r} must be an integer, "
-                         f"got {value!r}")
-    return value
-
-
 def _factor_from_json(family: str, obj) -> Factor:
     if not isinstance(obj, dict):
         raise InputError(f"expected factor parameters, got {obj!r}")
-    width = obj.get("rate") if family == "gaussian" else obj.get("width")
-    if width is None:
-        raise InputError(f"factor parameters missing rate/width: {obj!r}")
-    return Factor(family=family, amp=float(obj.get("amp", 1.0)),
-                  width=float(width), center=float(obj.get("center", 0.0)))
+    key = "rate" if family == "gaussian" else "width"
+    return Factor(family=family, amp=json_real(obj.get("amp", 1.0), "amp"),
+                  width=json_real(obj.get(key), key),
+                  center=json_real(obj.get("center", 0.0), "center"))
 
 
 @dataclass(frozen=True)
@@ -179,18 +171,26 @@ class KernelSpec:
     def from_json(cls, obj) -> "KernelSpec":
         if not isinstance(obj, dict) or "n" not in obj:
             raise InputError("kernel spec must be an object with field 'n'")
+        phi = obj.get("phi", [])
+        if not isinstance(phi, list):
+            raise InputError(f"'phi' must be a list, got {phi!r}")
         entries = []
-        for item in obj.get("phi", []):
+        for item in phi:
+            if not isinstance(item, dict):
+                raise InputError(f"expected phi entry object, got {item!r}")
             family = item.get("family")
             if family not in ("gaussian-product", "bump-product"):
                 raise InputError(f"unknown kernel family {family!r}")
             base = family.split("-")[0]
             params = item.get("params", {})
+            if not isinstance(params, dict):
+                raise InputError(f"expected entry params object, got {params!r}")
             entries.append(PhiEntry(
-                i=_json_int(item, "i"), j=_json_int(item, "j"),
+                i=json_int(item.get("i"), "entry index i"),
+                j=json_int(item.get("j"), "entry index j"),
                 first=_factor_from_json(base, params.get("first")),
                 second=_factor_from_json(base, params.get("second"))))
-        return cls(n=_json_int(obj, "n"), entries=entries)
+        return cls(n=json_int(obj["n"], "n"), entries=entries)
 
     def factors(self, u, q, w) -> tuple:
         """Rank-R factors (U, V), each (n N, R), of the Nystrom operator at

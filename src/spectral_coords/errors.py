@@ -20,11 +20,7 @@ class PoleEvaluation(SpectralError):
 
 
 class NoIsolation(SpectralError):
-    """Residue contour radius underflowed (point not isolated)."""
-
-
-class NonConvergence(SpectralError):
-    """Contour quadrature failed to converge under node doubling."""
+    """A pole is not isolated from the other roots of its function."""
 
 
 # --- curve validators -------------------------------------------------------

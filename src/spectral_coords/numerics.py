@@ -2,23 +2,20 @@
 
 Everything here is numeric: a rational function is stored as
 ``scale * prod (z - root)**mult`` and never expanded into coefficients.
-Residues are computed by contour quadrature (trapezoid rule on a circle,
-which converges exponentially for analytic integrands), so higher-order
-poles need no special casing.
+Residues are exact: at a pole of order m the residue is the (m-1)-th
+Taylor coefficient of the remaining factors, a finite convolution of
+binomial series. The residue at infinity is cross-checked between the
+two charts.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, NoIsolation, NonConvergence, PoleEvaluation
+from .errors import InputError, Mismatch, NoIsolation, PoleEvaluation
 
 ROOT_MERGE_TOL = 1e-9
-RESIDUE_REL_TOL = 1e-13
-_QUAD_START = 16
-_QUAD_MAX = 2 ** 14
 
 
 class Infinity:
@@ -62,6 +59,20 @@ def same_point(p, q, tol: float = ROOT_MERGE_TOL) -> bool:
     return abs(p - q) <= tol * (1.0 + abs(p))
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; booleans, strings and fractions are refused."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_real(value, what: str) -> float:
+    """A real number read from JSON; booleans and strings are refused."""
+    if type(value) not in (int, float):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def complex_to_json(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -69,10 +80,8 @@ def complex_to_json(z: complex) -> list:
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise InputError(f"expected [re, im] pair, got {obj!r}")
-    try:
-        z = complex(float(obj[0]), float(obj[1]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad complex pair {obj!r}") from exc
+    z = complex(json_real(obj[0], "real part"),
+                json_real(obj[1], "imaginary part"))
     return require_finite(z)
 
 
@@ -188,7 +197,8 @@ class FactoredRational:
         for item in obj.get("factors", []):
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise InputError(f"bad factor entry {item!r}")
-            factors.append((complex_from_json(item[0]), int(item[1])))
+            factors.append((complex_from_json(item[0]),
+                            json_int(item[1], "factor multiplicity")))
         return cls(complex_from_json(obj["scale"]), factors)
 
 
@@ -215,22 +225,17 @@ class RationalDifferential:
     def residue(self, p) -> complex:
         if is_inf(p):
             return self._residue_at_infinity()
-        if self.f.order_at(p) >= 0:
-            return 0.0
-        return _contour_residue(self.f, p)
+        return _series_residue(self.f, p)
 
     def _residue_at_infinity(self) -> complex:
-        total = 0j
-        for r, m in self.f.factors:
-            if m < 0:
-                total += _contour_residue(self.f, r)
-        value = -total
+        value = -sum((_series_residue(self.f, r)
+                      for r, m in self.f.factors if m < 0), 0j)
         # cross-check in the w = 1/z chart, where the residue sits at w = 0
         g = self.f.inverse_chart().scaled(-1)
         g = FactoredRational(g.scale, g.factors + ((0j, -2),))
-        check = _contour_residue(g, 0j)
+        check = _series_residue(g, 0j)
         if abs(check - value) > 1e-10 * (1.0 + abs(value)):
-            raise NonConvergence(
+            raise Mismatch(
                 f"residue at infinity disagrees between charts: "
                 f"{value} vs {check}")
         return value
@@ -243,34 +248,28 @@ class RationalDifferential:
         return cls(FactoredRational.from_json(obj))
 
 
-def _isolation_radius(f: FactoredRational, p: complex) -> float:
-    dists = [abs(r - p) for r, _ in f.factors if not same_point(r, p)]
-    if not dists:
-        return 1.0
-    rho = 0.5 * min(dists)
-    # keep the contour clear of the root-merge tolerance band
-    if rho <= 10.0 * ROOT_MERGE_TOL * (1.0 + abs(p)):
-        raise NoIsolation(f"point {p} not isolated (radius {rho:g})")
-    return rho
+def _series_residue(f: FactoredRational, p: complex) -> complex:
+    """Residue of f dz at a finite point p, exactly from the factors.
 
-
-def _contour_residue(f: FactoredRational, p: complex) -> complex:
-    """(1 / 2 pi i) * integral of f over a small circle around p.
-
-    Trapezoid rule on the circle; node count doubles until two successive
-    values agree to RESIDUE_REL_TOL (relative).
+    At a pole of order m, f = t^-m * scale * prod (t + p - r)^k with
+    t = z - p, so the residue is the t^(m-1) coefficient of the product.
+    Each factor expands as a binomial series, (t + d)^k = sum c_j t^j with
+    c_0 = d^k and c_j = c_(j-1) (k - j + 1) / (j d), and the series are
+    convolved up to degree m - 1.
     """
-    rho = _isolation_radius(f, p)
-    prev = None
-    n = _QUAD_START
-    while n <= _QUAD_MAX:
-        acc = 0j
-        for k in range(n):
-            w = cmath.exp(2j * math.pi * k / n)
-            acc += f.eval(p + rho * w) * w
-        val = acc * rho / n
-        if prev is not None and abs(val - prev) <= RESIDUE_REL_TOL * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    raise NonConvergence(f"residue quadrature at {p} stalled (N={_QUAD_MAX})")
+    m = -f.order_at(p)
+    if m <= 0:
+        return 0j
+    coeffs = [f.scale] + [0j] * (m - 1)
+    for r, k in f.factors:
+        if same_point(r, p):
+            continue
+        d = p - r
+        if abs(d) <= 20.0 * ROOT_MERGE_TOL * (1.0 + abs(p)):
+            raise NoIsolation(f"pole {p} not isolated from root {r}")
+        series = [d ** k]
+        for j in range(1, m):
+            series.append(series[-1] * (k - j + 1) / (j * d))
+        coeffs = [sum(coeffs[i] * series[n - i] for i in range(n + 1))
+                  for n in range(m)]
+    return coeffs[-1]

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -235,10 +234,8 @@ def test_non_finite_tolerance_is_an_input_error(polar_file, tmp_path,
 ])
 def test_non_finite_parameters_are_refused_when_parsed(polar_file, capsys,
                                                        argv, flag):
-    with warnings.catch_warnings():
-        # refused before any numerics run, so numpy has nothing to warn about
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, argv[0], polar_file, *argv[1:])
+    # refused before any numerics run, so numpy has nothing to warn about
+    code, out, err = run(capsys, argv[0], polar_file, *argv[1:])
     assert code == 2 and out == ""
     assert flag in err and "finite" in err
 
@@ -248,9 +245,7 @@ def test_non_finite_parameters_are_refused_when_parsed(polar_file, capsys,
 def test_dress_refuses_non_finite_grid_bounds(tmp_path, capsys, bound):
     path = tmp_path / "kern.json"
     path.write_text(json.dumps(KERNEL2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "dress", str(path), *bound)
+    code, out, err = run(capsys, "dress", str(path), *bound)
     assert code == 2 and out == ""
     assert "finite" in err
 
@@ -266,9 +261,7 @@ def test_dress_refuses_non_finite_kernel_parameters(tmp_path, capsys,
     spec["phi"][1]["params"][factor][key] = value
     path = tmp_path / "kern.json"
     path.write_text(json.dumps(spec))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "dress", str(path))
+    code, out, err = run(capsys, "dress", str(path))
     assert code == 2 and out == ""
     assert "finite" in err
 
@@ -281,6 +274,53 @@ def test_dress_refuses_fractional_indices(tmp_path, capsys):
     code, out, err = run(capsys, "dress", str(path))
     assert code == 2 and out == ""
     assert "integer" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 1, "phi": [1]},
+    {"n": 2, "phi": {"i": 1, "j": 1}},
+    {"n": 2, "phi": [dict(KERNEL2["phi"][0], params=[1, 2])]},
+    {"n": 2, "phi": [{"i": 1, "j": 1, "family": "gaussian-product",
+                      "params": {"first": {"amp": True, "rate": 1.0},
+                                 "second": {"rate": 1.0}}}]},
+    {"n": 2, "phi": [{"i": 1, "j": 1, "family": "gaussian-product",
+                      "params": {"first": {"amp": "0.7", "rate": 1.0},
+                                 "second": {"rate": 1.0}}}]},
+])
+def test_dress_refuses_malformed_kernel_spec(tmp_path, capsys, spec):
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "dress", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("where, value", [
+    (("omega", 4, "factors", 2, 1), -1.5),
+    (("omega", 4, "factors", 2, 0), ["0", "0"]),
+    (("omega", 4, "factors", 2, 0), [False, False]),
+    (("Q", 0, "component"), 4.7),
+    (("normalizations", 0, "component"), 0.5),
+    (("ansatz", 0, "essential", 0, "var"), 1.5),
+    (("ansatz", 0), "component"),
+    (("n",), 2.5),
+    (("normalizations", 0, "component"), False),
+    (("components",), "5"),
+    (("sigma", "perm", 2), 3.0),
+])
+def test_validate_refuses_coerced_json(tmp_path, capsys, where, value):
+    # each of these used to be coerced (int(-1.5) == -1, float("0") == 0)
+    # or to escape as an uncaught exception
+    cfg = json.loads(json.dumps(gallery.build("polar").data.to_json()))
+    target = cfg
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_grid_emits_row_major_csv(tmp_path, capsys):

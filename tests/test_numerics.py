@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
+from spectral_coords import gallery
 from spectral_coords.errors import InputError, NoIsolation, PoleEvaluation
 from spectral_coords.numerics import (INF, FactoredRational, Infinity,
                                       RationalDifferential, ROOT_MERGE_TOL,
@@ -148,6 +147,36 @@ class TestResidues:
         assert w.divisor() == ((INF, -2),)
 
 
+def trapezoid_residue(f: FactoredRational, p, rho: float):
+    """Reference residue of f dz at a finite p: the trapezoid rule on the
+    circle |z - p| = rho, which converges geometrically for an integrand
+    analytic on an annulus around it (Trefethen and Weideman, SIAM Rev. 56,
+    2014). Nodes double until two values agree to rounding in the size of
+    the summands; returns the value and that size."""
+    n, prev = 16, None
+    while n <= 2 ** 14:
+        w = np.exp(2j * np.pi * np.arange(n) / n)
+        z = p + rho * w
+        terms = rho * w * f.scale * np.prod(
+            [(z - r) ** m for r, m in f.factors], axis=0)
+        value, size = complex(np.mean(terms)), float(np.max(np.abs(terms)))
+        if prev is not None and abs(value - prev) <= 1e-15 * size:
+            return value, size
+        prev, n = value, 2 * n
+    raise AssertionError(f"trapezoid rule at {p} did not converge")
+
+
+def oracle_residue(w: RationalDifferential, p):
+    """trapezoid_residue on the widest circle that keeps the other roots
+    outside, in the w = 1/z chart at infinity."""
+    f = w.f
+    if is_inf(p):
+        g = f.inverse_chart().scaled(-1)
+        f, p = FactoredRational(g.scale, g.factors + ((0j, -2),)), 0j
+    dists = [abs(r - p) for r, _ in f.factors if not same_point(r, p)]
+    return trapezoid_residue(f, p, 0.5 * min(dists) if dists else 1.0)
+
+
 def test_residue_contour_radius_insensitive():
     """The quadrature must converge to the same residue whether the pole
     cluster forces a tight contour or allows a wide one."""
@@ -157,8 +186,54 @@ def test_residue_contour_radius_insensitive():
         FactoredRational(1.0, [(0.0, -1), (0.05, -1)]))
     exact1 = 1.0 / (0.0 - 10.0)
     exact2 = 1.0 / (0.0 - 0.05)
-    assert w1.residue(0.0) == pytest.approx(exact1, rel=1e-12)
-    assert w2.residue(0.0) == pytest.approx(exact2, rel=1e-12)
+    assert oracle_residue(w1, 0.0)[0] == pytest.approx(exact1, rel=1e-12)
+    assert oracle_residue(w2, 0.0)[0] == pytest.approx(exact2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, n", [(name, None) for name in sorted(
+    gallery.BUILDERS)] + [("spherical_n", n) for n in range(3, 9)])
+def test_series_residue_matches_oracle_on_gallery(name, n):
+    data = (gallery.spherical_n(n) if n else gallery.build(name)).data
+    points = list(data.Q) + [cp for g in data.gluings for cp in g.points]
+    for cp in points:
+        w = data.omega[cp.component]
+        exact, _ = oracle_residue(w, cp.point)
+        assert abs(w.residue(cp.point) - exact) <= 1e-13 * abs(exact), cp
+
+
+def test_series_residue_matches_oracle_on_random_differentials():
+    rng = np.random.default_rng(20261018)
+    orders = set()
+    for _ in range(100):
+        k = rng.integers(1, 5)
+        factors = [(complex(*rng.uniform(-2, 2, size=2)), int(m))
+                   for m in rng.integers(-3, 0, size=k)]
+        factors.append((complex(*rng.uniform(-2, 2, size=2)),
+                        int(rng.integers(1, 3))))
+        w = RationalDifferential(
+            FactoredRational(complex(*rng.uniform(0.5, 1, size=2)), factors))
+        for p, m in w.divisor():
+            if m >= 0:
+                continue
+            orders.add(-m)
+            got = w.residue(p)
+            exact, size = oracle_residue(w, p)
+            # a residue that vanishes identically (a triple pole against a
+            # single linear factor) comes out as exactly 0j; the oracle's
+            # rounding is then bounded by the size of its summands
+            assert abs(got - exact) <= 1e-13 * (abs(exact) if got else size)
+    assert orders >= {1, 2, 3}
+
+
+def test_isolation_threshold():
+    # the other root must lie beyond 20 * ROOT_MERGE_TOL * (1 + |p|)
+    for other, expect in ((1e-7, -1e7), (2.1e-8, -1.0 / 2.1e-8)):
+        w = RationalDifferential(FactoredRational(1.0, [(0.0, -1), (other, -1)]))
+        assert w.residue(0.0) == pytest.approx(expect, rel=1e-13)
+    for other in (1e-8, 2e-8):
+        w = RationalDifferential(FactoredRational(1.0, [(0.0, -1), (other, -1)]))
+        with pytest.raises(NoIsolation):
+            w.residue(0.0)
 
 
 def test_differential_json_round_trip():
