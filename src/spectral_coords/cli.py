@@ -95,6 +95,8 @@ def _parse_grid(text: str) -> dict:
             raise InputError("grid axes are 1-based")
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputError(f"--grid bounds must be finite, got {part!r}")
+        if axis - 1 in out:
+            raise InputError(f"--grid gives axis {axis} more than once")
         out[axis - 1] = np.linspace(lo, hi, count)
     if not out:
         raise InputError("empty grid spec")

@@ -16,8 +16,11 @@ so its Nystrom matrix is M = I - U V^T with two columns per entry, and a
 spec is solved through the R x R system I - V^T U (Woodbury identity; the
 degenerate-kernel method, Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, ch. 2). A raw kernel callable gets the dense
-(nN, nN) solve. Both routes form M and its inverse and gate on the same
-condition bound.
+(nN, nN) solve. Both routes gate on the same condition bound, taken from
+the 1- and inf-norms of M and its inverse accumulated over row blocks; the
+low-rank route forms those blocks from the factors and never holds M or
+its inverse whole, and takes K and the residual from the factors in
+O(nN R).
 
 Sign note: the second member of each off-diagonal pair is taken as
 F_ji(s, s') = -d2 Phi_ij(s' - u^i, s - u^j); with the opposite sign the
@@ -283,10 +286,19 @@ class Grid:
             raise InputError("grid bounds s and s_max must be finite")
         if not self.s < self.s_max:
             raise InputError("need s < s_max")
+        if not math.isfinite(self.s_max + self.tail_width):
+            raise InputError("grid span s_max - s and the tail scan beyond "
+                             "s_max must stay finite")
         if self.N < 8:
             raise InputError("need at least 8 nodes")
         if self.rule not in ("trapezoid", "gauss-legendre"):
             raise InputError(f"unknown quadrature rule {self.rule!r}")
+
+    @property
+    def tail_width(self) -> float:
+        """Width of the scan beyond s_max on which |F| must be below
+        TAIL_BOUND: half the span s_max - s, at least 0.5."""
+        return 0.5 * max(1.0, self.s_max - self.s)
 
     def nodes(self):
         if self.rule == "trapezoid":
@@ -343,10 +355,41 @@ def _inverse(A: np.ndarray) -> np.ndarray:
             f"discretized operator is singular ({exc})") from exc
 
 
-def _norms_1_inf(A: np.ndarray) -> tuple:
-    """(||A||_1, ||A||_inf): np.linalg.norm's reductions over one |A|."""
-    A = np.abs(A)
-    return A.sum(axis=0).max(), A.sum(axis=1).max()
+# Rows per block in _norms_1_inf: a block of the n = 3, N = 200 matrix
+# (64 x 600 doubles, 300 kB) stays in cache between its product and its sums.
+_NORM_BLOCK = 64
+
+
+def _norms_1_inf(rows, size: int) -> tuple:
+    """(||A||_1, ||A||_inf) of a (size, size) matrix A given by row blocks:
+    rows(r0, r1) returns rows r0:r1 of A or of -A as a new array, which is
+    overwritten here. At most _NORM_BLOCK rows of A are held at once."""
+    col_sums = np.zeros(size)
+    row_sums = np.empty(size)
+    for r0 in range(0, size, _NORM_BLOCK):
+        r1 = min(r0 + _NORM_BLOCK, size)
+        block = rows(r0, r1)
+        np.abs(block, out=block)
+        col_sums += block.sum(axis=0)
+        block.sum(axis=1, out=row_sums[r0:r1])
+    return col_sums.max(), row_sums.max()
+
+
+def _shift_diagonal(block: np.ndarray, r0: int, by: float) -> np.ndarray:
+    """Add `by` to the entries (k, r0 + k) of a C-ordered block of rows
+    r0:r0 + len(block) of a square matrix, in place."""
+    block.reshape(-1)[r0::block.shape[1] + 1] += by
+    return block
+
+
+def _condition(norms_M: tuple, norms_Minv: tuple) -> float:
+    """sqrt(kappa_1 * kappa_inf) from ((||M||_1, ||M||_inf),
+    (||M^-1||_1, ||M^-1||_inf)); SingularFredholm above the limit."""
+    (M_1, M_inf), (Minv_1, Minv_inf) = norms_M, norms_Minv
+    cond = math.sqrt(M_1 * Minv_1 * M_inf * Minv_inf)
+    if not math.isfinite(cond) or cond > FREDHOLM_CONDITION_LIMIT:
+        raise SingularFredholm(f"discretized operator condition {cond:.3e}")
+    return cond
 
 
 def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None, u=None,
@@ -354,20 +397,22 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None, u=None,
     """Nystrom solve for a kernel callable F_fn(q, q') -> (n, n, A, B).
 
     M is the (nN, nN) Nystrom matrix. Without `factors` it is assembled
-    from F_fn and inverted densely. With `factors`, a callable
-    (q, w) -> (U, V) giving M = I - U V^T in rank R (KernelSpec.factors),
-    only the R x R matrix C = I - V^T U is inverted, and M and
-    M^-1 = I + U C^-1 V^T are formed from the factors in O((nN)^2 R).
+    from F_fn and inverted densely, and K = M^-1 rhs. With `factors`, a
+    callable (q, w) -> (U, V) giving M = I - U V^T in rank R
+    (KernelSpec.factors), only the R x R matrix C = I - V^T U is inverted:
+    with W = U C^-1, M^-1 = I + W V^T, so K = rhs + W (V^T rhs) and the
+    residual M K - rhs comes from the factors in O(nN R), and neither M
+    nor M^-1 is formed; their norms are summed over row blocks formed from
+    the factors in O((nN)^2 R) time and O(nN) memory.
 
-    Either way K comes from M^-1, and so does the reported condition,
-    sqrt(kappa_1 * kappa_inf) with kappa_p = ||M||_p ||M^-1||_p. That is an
-    upper bound on the 2-norm condition number (||A||_2 <=
-    sqrt(||A||_1 ||A||_inf), Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 6) and at most nN times it. A singular M or C, or a
-    bound above FREDHOLM_CONDITION_LIMIT, raises SingularFredholm."""
+    Either way the reported condition is sqrt(kappa_1 * kappa_inf) with
+    kappa_p = ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm
+    condition number (||A||_2 <= sqrt(||A||_1 ||A||_inf), Higham, Accuracy
+    and Stability of Numerical Algorithms, sec. 6) and at most nN times it.
+    A singular M or C, or a bound above FREDHOLM_CONDITION_LIMIT, raises
+    SingularFredholm."""
     q, w = grid.nodes()
-    span = max(1.0, grid.s_max - grid.s)
-    scan = grid.s_max + np.linspace(0.0, 0.5 * span, 17)
+    scan = grid.s_max + np.linspace(0.0, grid.tail_width, 17)
     tail = float(np.max(np.abs(F_fn(scan, np.concatenate([q, scan])))))
     if not tail <= TAIL_BOUND:
         raise TailTooFat(
@@ -375,28 +420,29 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None, u=None,
 
     N = grid.N
     size = n * N
+    F_s = F_fn(np.array([grid.s]), q)[:, :, 0, :]  # [a, b, j]
+    rhs = F_s.transpose(1, 2, 0).reshape(size, n)
     if factors is None:
         # F_fn(q, q)[c, b, k, j] = F_cb(q_k, q_j), not kept past assembly
         M = np.eye(size) - (F_fn(q, q) * w[None, None, :, None]) \
             .transpose(1, 3, 0, 2).reshape(size, size)
         Minv = _inverse(M)
+        cond = _condition(
+            _norms_1_inf(lambda r0, r1: M[r0:r1].copy(), size),
+            _norms_1_inf(lambda r0, r1: Minv[r0:r1].copy(), size))
+        sol = Minv @ rhs
+        residual = float(np.max(np.abs(M @ sol - rhs)))
     else:
         U, V = factors(q, w)
-        Cinv = _inverse(np.eye(U.shape[1]) - V.T @ U)
-        M = (-U) @ V.T
-        M.flat[::size + 1] += 1.0
-        Minv = (U @ Cinv) @ V.T
-        Minv.flat[::size + 1] += 1.0
-    M_1, M_inf = _norms_1_inf(M)
-    Minv_1, Minv_inf = _norms_1_inf(Minv)
-    cond = math.sqrt(M_1 * Minv_1 * M_inf * Minv_inf)
-    if not math.isfinite(cond) or cond > FREDHOLM_CONDITION_LIMIT:
-        raise SingularFredholm(f"discretized operator condition {cond:.3e}")
-
-    F_s = F_fn(np.array([grid.s]), q)[:, :, 0, :]  # [a, b, j]
-    rhs = F_s.transpose(1, 2, 0).reshape(size, n)
-    sol = Minv @ rhs
-    residual = float(np.max(np.abs(M @ sol - rhs)))
+        W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
+        # rows of -M = U V^T - I and of M^-1 = I + W V^T
+        cond = _condition(
+            _norms_1_inf(lambda r0, r1: _shift_diagonal(U[r0:r1] @ V.T, r0,
+                                                        -1.0), size),
+            _norms_1_inf(lambda r0, r1: _shift_diagonal(W[r0:r1] @ V.T, r0,
+                                                        1.0), size))
+        sol = rhs + W @ (V.T @ rhs)
+        residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
     K_nodes = sol.reshape(n, N, n).transpose(2, 0, 1)
     return MarchenkoSolution(spec=spec, u=u, grid=grid, q=q, w=w,
                              K_nodes=K_nodes, F_s_nodes=F_s,

@@ -351,6 +351,31 @@ def test_grid_spec_errors(polar_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["grid", "verify", "dress"])
+def test_repeated_grid_axis_is_refused(polar_file, tmp_path, capsys, command):
+    # a repeated axis used to keep its last segment without a word
+    path = polar_file
+    if command == "dress":
+        path = tmp_path / "kern.json"
+        path.write_text(json.dumps(KERNEL2))
+    code, out, err = run(capsys, command, str(path),
+                         "--grid", "1:0:0.1:2;1:0.5:0.6:3")
+    assert code == 2 and out == ""
+    assert "axis 1" in err
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--s=-1e308", "--s-max", "1e308"),  # s_max - s overflows
+    ("--s-max", "1.5e308"),  # the tail scan beyond s_max overflows
+])
+def test_dress_refuses_overflowing_grid_bounds(tmp_path, capsys, bounds):
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(KERNEL2))
+    code, out, err = run(capsys, "dress", str(path), *bounds)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_dress_json_output(tmp_path, capsys):
     path = tmp_path / "kern.json"
     path.write_text(json.dumps(KERNEL2))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,46 @@ def test_low_rank_and_dense_routes_agree(N):
             <= 1e-12 * np.max(np.abs(beta_ref))
         assert abs(low.condition - dense.condition) \
             <= 1e-12 * dense.condition
+
+
+@pytest.mark.parametrize("N", [32, 200])
+def test_blockwise_gate_matches_the_explicit_matrices(N):
+    # the low-rank route sums the norms of M and M^-1 over row blocks built
+    # from the factors; the reference forms both matrices whole
+    gen = np.random.default_rng(4242 + N)
+    grid = Grid(s=-2.0, s_max=7.0, N=N)
+    q, w = grid.nodes()
+    specs = list(layout_specs().values()) \
+        + [perturbed_spec3(gen) for _ in range(4)]
+    for spec in specs:
+        u = gen.uniform(-0.3, 0.3, size=spec.n)
+        U, V = spec.factors(u, q, w)
+        M = np.eye(spec.n * N) - U @ V.T
+        Minv = np.linalg.inv(M)
+        ref = math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
+                        * np.linalg.norm(Minv, 1)
+                        * np.linalg.norm(Minv, np.inf))
+        sol = solve_marchenko(spec, u, grid)
+        assert abs(sol.condition - ref) <= 1e-14 * ref
+        assert sol.residual <= 1e-12
+        if not spec.entries:
+            assert sol.condition == 1.0
+
+
+def test_low_rank_solve_holds_no_dense_matrix():
+    # (nN)^2 doubles are 72 MB at n = 3, N = 1000; the solve may hold a
+    # quarter of that at most. The node cache is filled first, since
+    # leggauss builds an N x N companion matrix once per N.
+    grid = Grid(s=-2.0, s_max=7.0, N=1000)
+    grid.nodes()
+    spec, u = make_spec3(), np.array([0.1, -0.2, 0.05])
+    tracemalloc.start()
+    try:
+        solve_marchenko(spec, u, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 * grid.N) ** 2 * 8 / 4
 
 
 def test_routes_share_the_gate_across_an_amplitude_sweep():
