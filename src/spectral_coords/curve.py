@@ -439,7 +439,6 @@ def check_involution(data: SpectralData, tol: float = 1e-10) -> dict:
     if data.sigma is None:
         raise InputError("no involution declared")
     sigma = data.sigma
-    sigma._check_involutive(tol=max(tol, 1e-10))
 
     for i, cp in enumerate(data.P_markers):
         image = sigma.apply(cp)

@@ -11,8 +11,18 @@ is solved by Nystrom collocation on a truncated grid, and K(s, s) yields
 a rotation-coefficient matrix whose compatibility systems are then checked
 by finite differences over u.
 
-Every entry of a spec's F is a sum of products of one-variable factors,
-so its Nystrom matrix is M = I - U V^T with two columns per entry, and a
+A spec's F is a sum of signed rank-one terms, tabulated once per spec:
+entry (i, j) with factors (first, second) gives, in this order,
+
+    F_ij(x, y) += first'(x - u^i) second(y - u^j)
+    F_ji(x, y) -= second'(x - u^j) first(y - u^i)
+
+and for i = j both terms land on the same block, which antisymmetrizes
+the diagonal entry. Sign note: with the opposite sign on the second term
+the differential reduction identity fails, and with it the skew system.
+
+build_F sums the terms, and KernelSpec.factors writes one column per term,
+so a spec's Nystrom matrix is M = I - U V^T in rank R = len(terms), and a
 spec is solved through the R x R system I - V^T U (Woodbury identity; the
 degenerate-kernel method, Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, ch. 2). A raw kernel callable gets the dense
@@ -21,10 +31,6 @@ the 1- and inf-norms of M and its inverse accumulated over row blocks; the
 low-rank route forms those blocks from the factors and never holds M or
 its inverse whole, and takes K and the residual from the factors in
 O(nN R).
-
-Sign note: the second member of each off-diagonal pair is taken as
-F_ji(s, s') = -d2 Phi_ij(s' - u^i, s - u^j); with the opposite sign the
-differential reduction identity fails, and with it the skew system.
 """
 
 from __future__ import annotations
@@ -69,9 +75,9 @@ class Factor:
             raise InputError("factor width/rate must be positive")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         if self.family == "gaussian":
-            return self.amp * np.exp(-self.width * (t - self.center) ** 2)
+            return self._gaussian(t)[1]
+        t = np.asarray(t, dtype=float)
         tau = (t - self.center) / self.width
         out = np.zeros_like(tau)
         inside = np.abs(tau) < 1.0
@@ -79,9 +85,10 @@ class Factor:
         return out
 
     def dvalue(self, t):
-        t = np.asarray(t, dtype=float)
         if self.family == "gaussian":
-            return -2.0 * self.width * (t - self.center) * self.value(t)
+            d, g = self._gaussian(t)
+            return -2.0 * self.width * d * g
+        t = np.asarray(t, dtype=float)
         tau = (t - self.center) / self.width
         out = np.zeros_like(tau)
         inside = np.abs(tau) < 1.0
@@ -89,6 +96,16 @@ class Factor:
         out[inside] = self.value(t)[inside] * (-2.0 * ti / (1.0 - ti ** 2) ** 2) \
             / self.width
         return out
+
+    def _gaussian(self, t):
+        """(d, amp exp(-rate d^2)) with d = t - center clipped to
+        rate d^2 <= 746. Beyond that bound exp(-rate d^2) is exactly 0 in
+        double precision, so the clip changes no value or derivative
+        (signs of zero included), and d^2 cannot overflow."""
+        bound = math.sqrt(746.0 / self.width)
+        d = np.minimum(np.maximum(np.asarray(t, dtype=float) - self.center,
+                                  -bound), bound)
+        return d, self.amp * np.exp(-self.width * d ** 2)
 
     def to_json(self) -> dict:
         key = "rate" if self.family == "gaussian" else "width"
@@ -117,24 +134,6 @@ class PhiEntry:
     first: Factor
     second: Factor
 
-    def d1(self, x, y):
-        if self.i == self.j:
-            return self.first.dvalue(x) * self.second.value(y) \
-                - self.second.dvalue(x) * self.first.value(y)
-        return self.first.dvalue(x) * self.second.value(y)
-
-    def d2(self, x, y):
-        if self.i == self.j:
-            return self.first.value(x) * self.second.dvalue(y) \
-                - self.second.value(x) * self.first.dvalue(y)
-        return self.first.value(x) * self.second.dvalue(y)
-
-    def value(self, x, y):
-        if self.i == self.j:
-            return self.first.value(x) * self.second.value(y) \
-                - self.first.value(y) * self.second.value(x)
-        return self.first.value(x) * self.second.value(y)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -154,12 +153,13 @@ class KernelSpec:
             seen.add((e.i, e.j))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
-
-    def entry(self, i: int, j: int):
-        for e in self.entries:
-            if (e.i, e.j) == (i, j):
-                return e
-        return None
+        # signed rank-one terms (a, b, sign, fa, fb) with 0-based blocks:
+        # F_ab(x, y) += sign * fa'(x - u^a) * fb(y - u^b), see the module
+        # docstring; the order fixes the columns of factors()
+        object.__setattr__(self, "_terms", tuple(
+            term for e in entries
+            for term in ((e.i - 1, e.j - 1, 1.0, e.first, e.second),
+                         (e.j - 1, e.i - 1, -1.0, e.second, e.first))))
 
     def to_json(self) -> dict:
         out = []
@@ -198,44 +198,34 @@ class KernelSpec:
     def factors(self, u, q, w) -> tuple:
         """Rank-R factors (U, V), each (n N, R), of the Nystrom operator at
         nodes q with weights w: (U V^T)[(b, j), (c, k)] = w_k F_cb(q_k, q_j),
-        the block layout of solve_marchenko_kernel.
-
-        Entry (i, j) gives two columns: F_ij(x, y) = first'(x - u^i)
-        second(y - u^j) and, with build_F's sign, F_ji(x, y) =
-        -second'(x - u^j) first(y - u^i). For i = j the two add up to the
-        antisymmetrized diagonal entry, so R = 2 * len(entries)."""
+        the block layout of solve_marchenko_kernel. Term t of the table
+        gives column t, so R = 2 * len(entries)."""
         u = np.asarray(u, dtype=float)
         q = np.asarray(q, dtype=float)
         N = q.size
-        U = np.zeros((self.n, N, 2 * len(self.entries)))
+        U = np.zeros((self.n, N, len(self._terms)))
         V = np.zeros_like(U)
-        for t, e in enumerate(self.entries):
-            xi, xj = q - u[e.i - 1], q - u[e.j - 1]
-            U[e.j - 1, :, 2 * t] = e.second.value(xj)
-            V[e.i - 1, :, 2 * t] = w * e.first.dvalue(xi)
-            U[e.i - 1, :, 2 * t + 1] = e.first.value(xi)
-            V[e.j - 1, :, 2 * t + 1] = -w * e.second.dvalue(xj)
+        x = [q - ua for ua in u]
+        for t, (a, b, sign, fa, fb) in enumerate(self._terms):
+            U[b, :, t] = fb.value(x[b])
+            V[a, :, t] = sign * w * fa.dvalue(x[a])
         return U.reshape(self.n * N, -1), V.reshape(self.n * N, -1)
 
 
 def build_F(spec: KernelSpec, u, s, sp) -> np.ndarray:
-    """Kernel matrix F(s, s'; u). Scalar s, s' give an (n, n) matrix;
-    array arguments broadcast to trailing axes."""
+    """Kernel matrix F(s, s'; u), the sum of the spec's signed terms.
+    Scalar s, s' give an (n, n) matrix; array arguments broadcast to
+    trailing axes."""
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     sp = np.asarray(sp, dtype=float)
     shape = np.broadcast_shapes(s.shape, sp.shape)
     out = np.zeros((spec.n, spec.n) + shape)
-    for a in range(1, spec.n + 1):
-        for b in range(1, spec.n + 1):
-            if a <= b:
-                e = spec.entry(a, b)
-                if e is not None:
-                    out[a - 1, b - 1] = e.d1(s - u[a - 1], sp - u[b - 1])
-            else:
-                e = spec.entry(b, a)
-                if e is not None:
-                    out[a - 1, b - 1] = -e.d2(sp - u[b - 1], s - u[a - 1])
+    x = [s - ua for ua in u]
+    y = [sp - ub for ub in u]
+    for a, b, sign, fa, fb in spec._terms:
+        block = out[a, b, ...]  # a view, also for scalar s and s'
+        block += sign * fa.dvalue(x[a]) * fb.value(y[b])
     return out
 
 
@@ -323,24 +313,20 @@ def _gauss_legendre(N: int):
 
 @dataclass
 class MarchenkoSolution:
-    spec: object
-    u: np.ndarray
     grid: Grid
     q: np.ndarray
     w: np.ndarray
     K_nodes: np.ndarray  # [a, b, j] = K_ab(s, q_j)
-    F_s_nodes: np.ndarray  # [a, b, j] = F_ab(s, q_j)
     residual: float
-    tail_estimate: float
     condition: float
     _F_fn: object
 
     def k_at(self, sp) -> np.ndarray:
         """Nystrom natural interpolation of K(s, sp)."""
-        F_sp = self._F_fn(np.array([self.grid.s]), np.atleast_1d(sp))[:, :, 0, :]
-        F_nodes_sp = self._F_fn(self.q, np.atleast_1d(sp))
-        out = F_sp + np.einsum("ack,k,cbkp->abp", self.K_nodes, self.w,
-                               F_nodes_sp)
+        # one kernel call: row 0 at s, then the nodes
+        F = self._F_fn(np.append(self.grid.s, self.q), np.atleast_1d(sp))
+        out = F[:, :, 0, :] + np.einsum("ack,k,cbkp->abp", self.K_nodes,
+                                        self.w, F[:, :, 1:, :])
         return out[:, :, 0] if np.isscalar(sp) or np.ndim(sp) == 0 else out
 
     def diagonal(self) -> np.ndarray:
@@ -392,7 +378,7 @@ def _condition(norms_M: tuple, norms_Minv: tuple) -> float:
     return cond
 
 
-def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None, u=None,
+def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
                            factors=None) -> MarchenkoSolution:
     """Nystrom solve for a kernel callable F_fn(q, q') -> (n, n, A, B).
 
@@ -444,10 +430,8 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid, spec=None, u=None,
         sol = rhs + W @ (V.T @ rhs)
         residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
     K_nodes = sol.reshape(n, N, n).transpose(2, 0, 1)
-    return MarchenkoSolution(spec=spec, u=u, grid=grid, q=q, w=w,
-                             K_nodes=K_nodes, F_s_nodes=F_s,
-                             residual=residual, tail_estimate=tail,
-                             condition=cond, _F_fn=F_fn)
+    return MarchenkoSolution(grid=grid, q=q, w=w, K_nodes=K_nodes,
+                             residual=residual, condition=cond, _F_fn=F_fn)
 
 
 def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
@@ -457,8 +441,7 @@ def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
         return build_F(spec, u, np.asarray(qa)[:, None], np.asarray(qb)[None, :])
 
     return solve_marchenko_kernel(
-        F_fn, spec.n, grid, spec=spec, u=u,
-        factors=lambda q, w: spec.factors(u, q, w))
+        F_fn, spec.n, grid, factors=lambda q, w: spec.factors(u, q, w))
 
 
 def rotation_from_dressing(spec: KernelSpec, u, grid: Grid) -> np.ndarray:

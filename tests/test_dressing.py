@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ def test_factor_derivative_matches_fd(factor):
     h = 1e-6
     fd = (factor.value(ts + h) - factor.value(ts - h)) / (2 * h)
     assert np.max(np.abs(factor.dvalue(ts) - fd)) < 1e-7
+
+
+def test_gaussian_far_tail_is_exactly_zero_without_overflow():
+    # (t - center)^2 overflows beyond |t| ~ 1.3e154; the factor is 0 there
+    f = Factor("gaussian", 0.7, 1.3, 0.2)
+    steep = Factor("gaussian", 0.7, 100.0, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e200, -1e200):
+            assert f.value(t) == 0.0 and f.dvalue(t) == 0.0
+        assert steep.dvalue(1e307) == 0.0
+        assert not np.any(f.value(np.array([1e200, -1e300, 1e308])))
+        spec = make_spec3()
+        for s, sp in ((1e200, 0.0), (0.0, 1e200), (1e200, -1e200)):
+            assert not np.any(build_F(spec, np.zeros(3), s, sp))
 
 
 def test_bump_is_compactly_supported():
@@ -115,16 +131,54 @@ def test_kernel_spec_indices_must_be_integers(key, value):
 
 # -- the kernel matrix ------------------------------------------------------
 
+def reference_F(spec, u, s, sp) -> np.ndarray:
+    """F(s, s') written out block by block from the factors, independently
+    of the spec's term table; blocks with no entry are 0."""
+    entries = {(e.i - 1, e.j - 1): e for e in spec.entries}
+    F = np.zeros((spec.n, spec.n))
+    for a in range(spec.n):
+        for b in range(spec.n):
+            x, y = s - u[a], sp - u[b]
+            if a == b and (a, a) in entries:
+                e = entries[a, a]
+                F[a, a] = e.first.dvalue(x) * e.second.value(y) \
+                    - e.second.dvalue(x) * e.first.value(y)
+            elif a < b and (a, b) in entries:
+                e = entries[a, b]
+                F[a, b] = e.first.dvalue(x) * e.second.value(y)
+            elif a > b and (b, a) in entries:
+                e = entries[b, a]
+                F[a, b] = -e.second.dvalue(x) * e.first.value(y)
+    return F
+
+
 def test_build_F_entry_conventions():
     spec = make_spec2()
     u = np.array([0.1, -0.2])
     s, sp = 0.4, -0.3
     F = build_F(spec, u, s, sp)
-    e12 = spec.entry(1, 2)
-    assert F[0, 1] == pytest.approx(e12.d1(s - u[0], sp - u[1]))
-    assert F[1, 0] == pytest.approx(-e12.d2(sp - u[0], s - u[1]))
-    e11 = spec.entry(1, 1)
-    assert F[0, 0] == pytest.approx(e11.d1(s - u[0], sp - u[0]))
+    entries = {(e.i, e.j): e for e in spec.entries}
+    e12 = entries[1, 2]
+    assert F[0, 1] == pytest.approx(
+        e12.first.dvalue(s - u[0]) * e12.second.value(sp - u[1]))
+    assert F[1, 0] == pytest.approx(
+        -e12.first.value(sp - u[0]) * e12.second.dvalue(s - u[1]))
+    e11 = entries[1, 1]
+    assert F[0, 0] == pytest.approx(
+        e11.first.dvalue(s - u[0]) * e11.second.value(sp - u[0])
+        - e11.second.dvalue(s - u[0]) * e11.first.value(sp - u[0]))
+    # every block of a full and of a sparse spec; absent pairs are exactly 0
+    gen = np.random.default_rng(808)
+    for spec in (make_spec3(), layout_specs()["sparse4"]):
+        present = np.zeros((spec.n, spec.n), dtype=bool)
+        for e in spec.entries:
+            present[e.i - 1, e.j - 1] = present[e.j - 1, e.i - 1] = True
+        u = gen.uniform(-0.3, 0.3, size=spec.n)
+        for s, sp in gen.uniform(-1.5, 1.5, size=(4, 2)):
+            F = build_F(spec, u, s, sp)
+            ref = reference_F(spec, u, s, sp)
+            assert np.max(np.abs(F - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert not np.any(F[~present])
 
 
 def test_build_F_broadcasts():
@@ -144,15 +198,6 @@ def test_kernel_satisfies_both_structure_systems(u):
 
 def test_wrong_off_diagonal_sign_breaks_reduction():
     spec = make_spec2()
-
-    class Flipped:
-        n = spec.n
-        entries = spec.entries
-
-        def entry(self, i, j):
-            return spec.entry(i, j)
-
-    flipped = Flipped()
     ref = build_F(spec, np.zeros(2), 0.3, -0.4)
     h = 1e-4
     # flipping the sign of the lower block makes the reduction residual
@@ -433,8 +478,7 @@ def test_low_rank_and_dense_routes_agree(N):
         spec = perturbed_spec3(gen)
         u = gen.uniform(-0.3, 0.3, size=3)
         low = solve_marchenko(spec, u, grid)
-        dense = solve_marchenko_kernel(spec_kernel(spec, u), 3, grid,
-                                       spec=spec, u=u)
+        dense = solve_marchenko_kernel(spec_kernel(spec, u), 3, grid)
         scale = np.max(np.abs(dense.K_nodes))
         assert np.max(np.abs(low.K_nodes - dense.K_nodes)) <= 1e-12 * scale
         beta, beta_ref = low.diagonal().T, dense.diagonal().T
@@ -521,7 +565,7 @@ def test_solution_matches_a_direct_solve():
     gen = np.random.default_rng(77)
     for u in gen.uniform(-0.3, 0.3, size=(3, 3)):
         F_fn = spec_kernel(spec, u)
-        sol = solve_marchenko_kernel(F_fn, 3, grid, spec=spec, u=u)
+        sol = solve_marchenko_kernel(F_fn, 3, grid)
         F_s = F_fn(np.array([grid.s]), sol.q)[:, :, 0, :]
         rhs = F_s.transpose(1, 2, 0).reshape(3 * grid.N, 3)
         direct = np.linalg.solve(nystrom_matrix(F_fn, 3, grid), rhs)
