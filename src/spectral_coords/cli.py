@@ -6,7 +6,8 @@ output is JSON or CSV on stdout (or --out); diagnostics go to stderr.
 Exit codes are a stable contract:
     0  pass
     1  check failure
-    2  input error (bad JSON, bad flags, unknown gallery name)
+    2  input error (bad JSON, bad flags, unknown gallery name,
+       unwritable --out)
     3  singular linear solve
     4  dressing-specific failure (fat tail, singular integral operator)
 """
@@ -14,13 +15,10 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,30 +38,6 @@ EXIT_DRESSING = 4
 VERIFY_WORKERS = min(8, os.cpu_count() or 1)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str = None
-    u: np.ndarray = None
-    grid: dict = None  # axis (0-based) -> 1-D array of values
-    fd_h: float = None
-    fd_order: int = None
-    tol: float = 1e-4
-    out: str = None
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.tol is not None and not (np.isfinite(self.tol)
-                                         and self.tol > 0):
-            raise InputError(f"--tol must be finite and positive, "
-                             f"got {self.tol}")
-        if self.grid:
-            for axis, values in self.grid.items():
-                if len(values) < 2:
-                    raise InputError(
-                        f"grid axis {axis + 1} needs at least 2 points")
-
-
 def _parse_u(text: str) -> np.ndarray:
     try:
         u = np.array([float(v) for v in text.split(",")], dtype=float)
@@ -75,7 +49,8 @@ def _parse_u(text: str) -> np.ndarray:
 
 
 def _parse_grid(text: str) -> dict:
-    """--grid "axis:lo:hi:count;…" with 1-based axis indices."""
+    """--grid "axis:lo:hi:count;…" with 1-based axis indices, as a map
+    from the 0-based axis to its values."""
     out = {}
     for part in text.split(";"):
         part = part.strip()
@@ -98,6 +73,8 @@ def _parse_grid(text: str) -> dict:
         if axis - 1 in out:
             raise InputError(f"--grid gives axis {axis} more than once")
         out[axis - 1] = np.linspace(lo, hi, count)
+        if count < 2:
+            raise InputError(f"grid axis {axis} needs at least 2 points")
     if not out:
         raise InputError("empty grid spec")
     return out
@@ -128,10 +105,19 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _check_tol(tol: float) -> float:
+    if not (np.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _emit(text: str, out: str = None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -142,29 +128,31 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _fd_configs(cfg: RunConfig):
+def _csv(header, table: np.ndarray) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row.tolist())) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def _geometry_source(args: argparse.Namespace, solver: baker.Solver):
+    """(source, fd_first): what geometry differentiates and its
+    first-derivative stencil. The source is the solver itself (exact
+    jets), or, when --fd-h or --fd-order is given, its map as an opaque
+    callable, so the finite-difference jets cross-check the exact ones."""
     first = geometry.FIRST_DERIVATIVE_FD
-    if cfg.fd_h is not None or cfg.fd_order is not None:
-        first = geometry.FDConfig(h=cfg.fd_h or first.h,
-                                  order=cfg.fd_order or first.order)
-    return first, geometry.SECOND_DERIVATIVE_FD
-
-
-def _geometry_source(cfg: RunConfig, solver: baker.Solver):
-    """What geometry differentiates: the solver itself (exact jets), or,
-    when --fd-h or --fd-order is given, its map as an opaque callable,
-    so the finite-difference jets cross-check the exact ones."""
-    if cfg.fd_h is not None or cfg.fd_order is not None:
-        return solver.map_batch
-    return solver
+    if args.fd_h is None and args.fd_order is None:
+        return solver, first
+    return solver.map_batch, geometry.FDConfig(
+        h=first.h if args.fd_h is None else args.fd_h,
+        order=args.fd_order or first.order)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig) -> int:
-    data = SpectralData.from_json(_load_json(cfg.input_path))
+def cmd_validate(args: argparse.Namespace) -> int:
+    data = SpectralData.from_json(_load_json(args.input))
     checks = {}
     failures = []
 
@@ -210,27 +198,25 @@ def cmd_validate(cfg: RunConfig) -> int:
             failures.append("involution")
 
     _emit(_dump({"checks": checks, "failures": failures,
-                 "passed": not failures}), cfg.out)
+                 "passed": not failures}), args.out)
     return EXIT_OK if not failures else EXIT_CHECK
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    data = SpectralData.from_json(_load_json(cfg.input_path))
-    if cfg.u is None:
-        raise InputError("solve requires --u")
-    if len(cfg.u) != data.n:
+def cmd_solve(args: argparse.Namespace) -> int:
+    u = _parse_u(args.u)
+    data = SpectralData.from_json(_load_json(args.input))
+    if len(u) != data.n:
         raise InputError(f"--u needs {data.n} components")
     solver = baker.Solver(data)
-    u = cfg.u[None, :]
-    coeffs, cond, resid = solver.solve_batch(u)
-    x = solver.map_from(u, coeffs)[0]
-    h = solver.h_from(u, coeffs)[0]
-    fd_first, _ = _fd_configs(cfg)
-    g, _g_imag = geometry.metric(_geometry_source(cfg, solver), cfg.u,
-                                 fd_first)
+    point = u[None, :]
+    coeffs, cond, resid = solver.solve_batch(point)
+    x = solver.map_from(point, coeffs)[0]
+    h = solver.h_from(point, coeffs)[0]
+    source, fd_first = _geometry_source(args, solver)
+    g, _g_imag = geometry.metric(source, u, fd_first)
     H = geometry.lame(g)
     _emit(_dump({
-        "u": [float(v) for v in cfg.u],
+        "u": [float(v) for v in u],
         "x": [[float(v.real), float(v.imag)] for v in x],
         "imag_max": float(np.max(np.abs(x.imag))),
         "H": [float(v) for v in H],
@@ -239,17 +225,19 @@ def cmd_solve(cfg: RunConfig) -> int:
             "condition": float(cond[0]),
             "residual": float(resid[0]),
         },
-    }), cfg.out)
+    }), args.out)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    data = SpectralData.from_json(_load_json(cfg.input_path))
-    grid = cfg.grid or {k: np.linspace(-0.4, 0.4, 3) for k in range(data.n)}
+def cmd_verify(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid) if args.grid else None
+    tol = _check_tol(args.tol)
+    data = SpectralData.from_json(_load_json(args.input))
+    grid = grid or {k: np.linspace(-0.4, 0.4, 3) for k in range(data.n)}
     samples = _lattice(grid, data.n)
-    fd_first, fd_second = _fd_configs(cfg)
     solver = baker.Solver(data)
-    source = _geometry_source(cfg, solver)
+    source, fd_first = _geometry_source(args, solver)
+    fd_second = geometry.SECOND_DERIVATIVE_FD
 
     with ThreadPoolExecutor(max_workers=VERIFY_WORKERS) as pool:
         reports = list(pool.map(
@@ -269,12 +257,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         gates = {
             "reality": (rep.imag_max, 1e-9 * x_scale),
             "orthogonality": (rep.g_offdiag_max, 1e-6 * h_scale),
-            "eq1": (rep.eq1_max, cfg.tol * h_scale),
-            "eq2": (rep.eq2_max, cfg.tol * h_scale),
-            "eq4": (rep.eq4_max, cfg.tol * h_scale),
-            "eq5": (rep.eq5_max, cfg.tol * h_scale),
-            "riemann": (rep.riemann_max, cfg.tol * h_scale),
-            "immersion": (rep.immersion_max, cfg.tol * x_scale),
+            "eq1": (rep.eq1_max, tol * h_scale),
+            "eq2": (rep.eq2_max, tol * h_scale),
+            "eq4": (rep.eq4_max, tol * h_scale),
+            "eq5": (rep.eq5_max, tol * h_scale),
+            "riemann": (rep.riemann_max, tol * h_scale),
+            "immersion": (rep.immersion_max, tol * x_scale),
         }
         for name, (value, bound) in gates.items():
             worst[name] = max(worst[name], value)
@@ -288,63 +276,54 @@ def cmd_verify(cfg: RunConfig) -> int:
                          "bound": 1e-6})
 
     _emit(_dump({"samples": len(samples), "worst": worst,
-                 "breaches": breaches, "passed": not breaches}), cfg.out)
+                 "breaches": breaches, "passed": not breaches}), args.out)
     return EXIT_OK if not breaches else EXIT_CHECK
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    data = SpectralData.from_json(_load_json(cfg.input_path))
-    if not cfg.grid:
-        raise InputError("grid command requires --grid")
-    samples = _lattice(cfg.grid, data.n)
-    solver = baker.Solver(data)
-    xs = solver.map_batch(samples)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"u{k + 1}" for k in range(data.n)]
-                    + [f"x{k + 1}" for k in range(data.n)])
-    for u, x in zip(samples, xs):
-        writer.writerow([repr(float(v)) for v in u]
-                        + [repr(float(v.real)) for v in x])
-    _emit(buf.getvalue(), cfg.out)
+def cmd_grid(args: argparse.Namespace) -> int:
+    grid = _parse_grid(args.grid)
+    data = SpectralData.from_json(_load_json(args.input))
+    samples = _lattice(grid, data.n)
+    xs = baker.Solver(data).map_batch(samples)
+    header = ([f"u{k + 1}" for k in range(data.n)]
+              + [f"x{k + 1}" for k in range(data.n)])
+    _emit(_csv(header, np.hstack((samples, xs.real))), args.out)
     return EXIT_OK
 
 
-def cmd_gallery(cfg: RunConfig) -> int:
-    entry = gallery.build(cfg.input_path)
-    _emit(_dump(entry.data.to_json()), cfg.out)
+def cmd_gallery(args: argparse.Namespace) -> int:
+    entry = gallery.build(args.name)
+    _emit(_dump(entry.data.to_json()), args.out)
     return EXIT_OK
 
 
-def cmd_dress(cfg: RunConfig, s: float, s_max: float, nodes: int,
-              rule: str) -> int:
-    spec = dressing.KernelSpec.from_json(_load_json(cfg.input_path))
-    grid = dressing.Grid(s=s, s_max=s_max, N=nodes, rule=rule)
-    samples = (_lattice(cfg.grid, spec.n) if cfg.grid
+def cmd_dress(args: argparse.Namespace) -> int:
+    u_grid = _parse_grid(args.grid) if args.grid else None
+    tol = _check_tol(args.tol)
+    spec = dressing.KernelSpec.from_json(_load_json(args.input))
+    grid = dressing.Grid(s=args.s, s_max=args.s_max, N=args.nodes,
+                         rule=args.rule)
+    samples = (_lattice(u_grid, spec.n) if u_grid
                else np.zeros((1, spec.n)))
-    betas = [dressing.rotation_from_dressing(spec, u, grid) for u in samples]
 
     def beta_at(u):
         return dressing.rotation_from_dressing(spec, u, grid)
 
+    betas = [beta_at(u) for u in samples]
     probes = sorted({0, len(samples) // 2, len(samples) - 1})
     res4 = res5 = 0.0
     for k in probes:
         res = dressing.check_beta_systems(beta_at, spec.n, samples[k])
         res4 = max(res4, float(max((abs(v) for v in res.eq4), default=0.0)))
         res5 = max(res5, float(max((abs(v) for v in res.eq5), default=0.0)))
-    passed = bool(res4 <= cfg.tol and res5 <= cfg.tol)
+    passed = bool(res4 <= tol and res5 <= tol)
 
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"u{k + 1}" for k in range(spec.n)]
-                        + [f"beta_{i + 1}_{j + 1}" for i in range(spec.n)
-                           for j in range(spec.n)])
-        for u, b in zip(samples, betas):
-            writer.writerow([repr(float(v)) for v in u]
-                            + [repr(float(v)) for v in np.ravel(b)])
-        _emit(buf.getvalue(), cfg.out)
+    if args.fmt == "csv":
+        header = ([f"u{k + 1}" for k in range(spec.n)]
+                  + [f"beta_{i + 1}_{j + 1}" for i in range(spec.n)
+                     for j in range(spec.n)])
+        table = np.hstack((samples, np.reshape(betas, (len(samples), -1))))
+        _emit(_csv(header, table), args.out)
         print(_dump({"eq4_max": res4, "eq5_max": res5, "passed": passed}),
               file=sys.stderr)
     else:
@@ -354,7 +333,7 @@ def cmd_dress(cfg: RunConfig, s: float, s_max: float, nodes: int,
                      for u, b in zip(samples, betas)],
             "residuals": {"eq4_max": res4, "eq5_max": res5},
             "passed": passed,
-        }), cfg.out)
+        }), args.out)
     return EXIT_OK if passed else EXIT_CHECK
 
 
@@ -369,43 +348,46 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rational spectral data.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_input=True):
-        if needs_input:
-            sp.add_argument("input", help="path to a JSON config")
+    def command(name, func, summary, arg="input",
+                arg_help="path to a JSON config"):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        sp.add_argument(arg, help=arg_help)
         sp.add_argument("--out", default=None, help="write output here "
                         "instead of stdout")
+        return sp
+
+    def tol(sp):
         sp.add_argument("--tol", type=float, default=1e-4,
                         help="residual tolerance for pass/fail gates")
 
-    sp = sub.add_parser("validate", help="run the spectral-data validators")
-    common(sp)
+    def fd(sp):
+        sp.add_argument("--fd-h", type=float, default=None)
+        sp.add_argument("--fd-order", type=int, default=None, choices=(2, 4))
 
-    sp = sub.add_parser("solve", help="evaluate the coordinate map at one u")
-    common(sp)
+    command("validate", cmd_validate, "run the spectral-data validators")
+
+    sp = command("solve", cmd_solve, "evaluate the coordinate map at one u")
     sp.add_argument("--u", required=True, help='comma list, e.g. "0.0,1.0"')
-    sp.add_argument("--fd-h", type=float, default=None)
-    sp.add_argument("--fd-order", type=int, default=None, choices=(2, 4))
+    fd(sp)
 
-    sp = sub.add_parser("verify", help="sweep geometric checks over a grid")
-    common(sp)
+    sp = command("verify", cmd_verify, "sweep geometric checks over a grid")
+    tol(sp)
     sp.add_argument("--grid", default=None,
                     help='"axis:lo:hi:count;…", 1-based axes; '
                          "default 3 points in [-0.4,0.4] per axis")
-    sp.add_argument("--fd-h", type=float, default=None)
-    sp.add_argument("--fd-order", type=int, default=None, choices=(2, 4))
+    fd(sp)
 
-    sp = sub.add_parser("grid", help="emit CSV coordinate lines")
-    common(sp)
+    sp = command("grid", cmd_grid, "emit CSV coordinate lines")
     sp.add_argument("--grid", required=True,
                     help='"axis:lo:hi:count;…", 1-based axes')
 
-    sp = sub.add_parser("gallery", help="print a catalog entry as JSON")
-    sp.add_argument("name", help="entry name, e.g. polar")
-    sp.add_argument("--out", default=None)
+    command("gallery", cmd_gallery, "print a catalog entry as JSON",
+            arg="name", arg_help="entry name, e.g. polar")
 
-    sp = sub.add_parser("dress", help="rotation coefficients from a kernel "
-                                      "spec via the integral equation")
-    common(sp)
+    sp = command("dress", cmd_dress, "rotation coefficients from a kernel "
+                                     "spec via the integral equation")
+    tol(sp)
     sp.add_argument("--grid", default=None,
                     help='u-grid "axis:lo:hi:count;…"; default u = 0')
     sp.add_argument("--s", type=float, default=-2.0)
@@ -426,33 +408,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
 
     try:
-        cfg = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "input", None)
-            or getattr(args, "name", None),
-            u=_parse_u(args.u) if getattr(args, "u", None) else None,
-            grid=_parse_grid(args.grid) if getattr(args, "grid", None)
-            else None,
-            fd_h=getattr(args, "fd_h", None),
-            fd_order=getattr(args, "fd_order", None),
-            tol=getattr(args, "tol", 1e-4),
-            out=args.out,
-            fmt=getattr(args, "fmt", "json"),
-        )
-        if cfg.command == "validate":
-            return cmd_validate(cfg)
-        if cfg.command == "solve":
-            return cmd_solve(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        if cfg.command == "grid":
-            return cmd_grid(cfg)
-        if cfg.command == "gallery":
-            return cmd_gallery(cfg)
-        if cfg.command == "dress":
-            return cmd_dress(cfg, s=args.s, s_max=args.s_max,
-                             nodes=args.nodes, rule=args.rule)
-        raise InputError(f"unknown command {cfg.command!r}")
+        return args.func(args)
     except (TailTooFat, SingularFredholm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DRESSING

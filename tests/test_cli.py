@@ -65,6 +65,17 @@ def test_out_flag_silences_stdout(tmp_path, capsys):
     assert json.loads(target.read_text())["n"] == 2
 
 
+@pytest.mark.parametrize("command", ["gallery", "validate"])
+def test_unwritable_out_is_an_input_error(polar_file, tmp_path, capsys,
+                                          command):
+    # a missing directory, and a directory in place of a file
+    for target in (tmp_path / "absent" / "x.json", tmp_path):
+        source = "polar" if command == "gallery" else polar_file
+        code, out, err = run(capsys, command, source, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
+
 def test_validate_reports_involution_when_present(polar_file, capsys):
     code, out, _ = run(capsys, "validate", polar_file)
     assert code == 0
@@ -211,6 +222,27 @@ def test_solve_fd_flags_select_the_fd_jet(polar_file, capsys):
     assert fd["x"] == exact["x"]
     assert fd["H"] == pytest.approx(exact["H"], rel=1e-9)
     assert fd["H"] != exact["H"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_zero_fd_step_is_refused(polar_file, capsys, command):
+    # --fd-h 0 used to fall back to the default step without a word
+    extra = (("--u=0.3,1.0",) if command == "solve"
+             else ("--grid", "1:-0.3:0.3:2"))
+    code, out, err = run(capsys, command, polar_file, *extra, "--fd-h", "0")
+    assert code == 2 and out == ""
+    assert "step 0.0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("solve", "--u=0.3,1.0"), ("grid", "--grid", "1:0:1:2"),
+])
+def test_tol_is_only_taken_where_it_gates(polar_file, capsys, argv):
+    # validate, solve and grid never read a tolerance
+    code, out, err = run(capsys, argv[0], polar_file, *argv[1:],
+                         "--tol", "1e-3")
+    assert code == 2 and out == ""
+    assert "--tol" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

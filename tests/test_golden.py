@@ -25,7 +25,6 @@ import math
 import os
 import re
 import subprocess
-import sys
 
 import pytest
 
@@ -246,4 +245,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate()
