@@ -244,8 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lambda u: geometry.build_report(source, u, fd_first, fd_second),
             samples))
 
-    spread = geometry.epsilon_invariant(solver, samples, fd_first,
-                                        map_fn=source)
+    spread = geometry.epsilon_invariant(solver, samples,
+                                        [rep.lame for rep in reports])
     breaches = []
     worst = {
         "reality": 0.0, "orthogonality": 0.0, "eq1": 0.0, "eq2": 0.0,
@@ -301,8 +301,7 @@ def cmd_dress(args: argparse.Namespace) -> int:
     u_grid = _parse_grid(args.grid) if args.grid else None
     tol = _check_tol(args.tol)
     spec = dressing.KernelSpec.from_json(_load_json(args.input))
-    grid = dressing.Grid(s=args.s, s_max=args.s_max, N=args.nodes,
-                         rule=args.rule)
+    grid = dressing.Grid(s=args.s, s_max=args.s_max, N=args.nodes)
     samples = (_lattice(u_grid, spec.n) if u_grid
                else np.zeros((1, spec.n)))
 
@@ -393,8 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=-2.0)
     sp.add_argument("--s-max", type=float, default=6.0)
     sp.add_argument("--nodes", type=int, default=200)
-    sp.add_argument("--rule", default="gauss-legendre",
-                    choices=("trapezoid", "gauss-legendre"))
     sp.add_argument("--format", dest="fmt", default="json",
                     choices=("json", "csv"))
     return p

@@ -19,6 +19,9 @@ from .numerics import (INF, FactoredRational, RationalDifferential,
                        point_from_json, point_to_json, require_finite,
                        same_point)
 
+# relative tolerance of the validators (regularity, Q residues, involution)
+VALIDATOR_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -138,7 +141,7 @@ class InvolutionSpec:
                 image = (a * z + b) / den
         return CurvePoint(target, image)
 
-    def _check_involutive(self, tol: float = 1e-10):
+    def _check_involutive(self):
         rng = random.Random(20240817)
         for comp in range(len(self.component_perm)):
             if self.component_perm[self.component_perm[comp]] != comp:
@@ -148,7 +151,7 @@ class InvolutionSpec:
                 cp = CurvePoint(comp, z)
                 back = self.apply(self.apply(cp))
                 if back.component != comp or is_inf(back.point) \
-                        or abs(back.point - z) > tol * (1.0 + abs(z)):
+                        or abs(back.point - z) > VALIDATOR_TOL * (1.0 + abs(z)):
                     raise NotInvolution(
                         f"map does not square to identity on component {comp}")
 
@@ -380,7 +383,7 @@ class RegularityReport:
         return self.max_abs <= self.tol
 
 
-def check_regular(data: SpectralData, tol: float = 1e-10) -> RegularityReport:
+def check_regular(data: SpectralData) -> RegularityReport:
     """Residue sums of the differential over the branches of each gluing."""
     if len(data.omega) != data.components:
         raise InputError("differentials missing; cannot check regularity")
@@ -390,20 +393,20 @@ def check_regular(data: SpectralData, tol: float = 1e-10) -> RegularityReport:
         for cp in g.points:
             total += data.omega[cp.component].residue(cp.point)
         sums.append(total)
-    return RegularityReport(sums=sums, tol=tol)
+    return RegularityReport(sums=sums, tol=VALIDATOR_TOL)
 
 
-def check_Q_residues(data: SpectralData, tol: float = 1e-10) -> float:
+def check_Q_residues(data: SpectralData) -> float:
     """Common residue of the differential at the Q points (must be > 0)."""
     if len(data.omega) != data.components:
         raise InputError("differentials missing; cannot check Q residues")
     values = [data.omega[cp.component].residue(cp.point) for cp in data.Q]
     first = values[0]
     for k, v in enumerate(values[1:], start=2):
-        if abs(v - first) > tol * (1.0 + abs(first)):
+        if abs(v - first) > VALIDATOR_TOL * (1.0 + abs(first)):
             raise Mismatch(
                 f"residue at Q_1 is {first}, at Q_{k} is {v}")
-    if abs(first.imag) > tol * (1.0 + abs(first)):
+    if abs(first.imag) > VALIDATOR_TOL * (1.0 + abs(first)):
         raise NonPositive(f"common Q residue {first} is not real")
     if first.real <= 0:
         raise NonPositive(f"common Q residue {first.real} is not positive")
@@ -428,7 +431,7 @@ def _match_divisor(actual: list, expected: list, tol: float, what: str):
         raise DivisorMismatch(f"{what}: unmatched divisor points {pool}")
 
 
-def check_involution(data: SpectralData, tol: float = 1e-10) -> dict:
+def check_involution(data: SpectralData) -> dict:
     """All involution conditions: squares to id, fixes P, preserves Q,
     and matches the zero/pole divisors of the differential.
 
@@ -439,6 +442,7 @@ def check_involution(data: SpectralData, tol: float = 1e-10) -> dict:
     if data.sigma is None:
         raise InputError("no involution declared")
     sigma = data.sigma
+    tol = VALIDATOR_TOL
 
     for i, cp in enumerate(data.P_markers):
         image = sigma.apply(cp)

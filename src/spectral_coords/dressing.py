@@ -53,6 +53,11 @@ TAIL_BOUND = 1e-10
 # condition number from above: every matrix an SVD gate at this limit
 # refuses is refused here too.
 FREDHOLM_CONDITION_LIMIT = 1e12
+# central-difference step and (s, s') sample axis of check_F_equations
+F_CHECK_STEP = 1e-4
+F_CHECK_POINTS = (-1.5, -0.75, 0.0, 0.75, 1.5)
+# central-difference step in u of check_beta_systems
+BETA_CHECK_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +234,17 @@ def build_F(spec: KernelSpec, u, s, sp) -> np.ndarray:
     return out
 
 
-def check_F_equations(spec: KernelSpec, u, h: float = 1e-4,
-                      points=None) -> tuple:
+def check_F_equations(spec: KernelSpec, u) -> tuple:
     """(max residual of the linear symmetry system, max residual of the
-    differential reduction) over a sample grid of (s, s'), via central FD."""
+    differential reduction) over the grid F_CHECK_POINTS^2 of (s, s'), via
+    central FD with step F_CHECK_STEP."""
     u = np.asarray(u, dtype=float)
     n = spec.n
-    if points is None:
-        points = np.linspace(-1.5, 1.5, 5)
+    h = F_CHECK_STEP
     res10 = 0.0
     res12 = 0.0
-    for s in points:
-        for sp in points:
+    for s in F_CHECK_POINTS:
+        for sp in F_CHECK_POINTS:
             dFdu = np.stack([
                 (build_F(spec, u + h * e, s, sp) - build_F(spec, u - h * e, s, sp))
                 / (2 * h)
@@ -269,7 +273,6 @@ class Grid:
     s: float
     s_max: float
     N: int = 200
-    rule: str = "gauss-legendre"
 
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.s_max)):
@@ -281,8 +284,6 @@ class Grid:
                              "s_max must stay finite")
         if self.N < 8:
             raise InputError("need at least 8 nodes")
-        if self.rule not in ("trapezoid", "gauss-legendre"):
-            raise InputError(f"unknown quadrature rule {self.rule!r}")
 
     @property
     def tail_width(self) -> float:
@@ -291,12 +292,7 @@ class Grid:
         return 0.5 * max(1.0, self.s_max - self.s)
 
     def nodes(self):
-        if self.rule == "trapezoid":
-            q = np.linspace(self.s, self.s_max, self.N)
-            w = np.full(self.N, q[1] - q[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return q, w
+        """Gauss-Legendre nodes and weights on [s, s_max]."""
         x, w = _gauss_legendre(self.N)
         half = 0.5 * (self.s_max - self.s)
         return self.s + half * (x + 1.0), half * w
@@ -457,10 +453,12 @@ def rotation_from_dressing(spec: KernelSpec, u, grid: Grid) -> np.ndarray:
     return solve_marchenko(spec, u, grid).diagonal().T
 
 
-def check_beta_systems(beta_fn, n: int, u, h: float = 1e-3) -> SystemResiduals:
-    """FD residuals of the two rotation-coefficient systems for an opaque
-    beta field; the triple-index family is empty for n = 2."""
+def check_beta_systems(beta_fn, n: int, u) -> SystemResiduals:
+    """FD residuals (step BETA_CHECK_STEP) of the two rotation-coefficient
+    systems for an opaque beta field; the triple-index family is empty for
+    n = 2."""
     u = np.asarray(u, dtype=float)
+    h = BETA_CHECK_STEP
     beta0 = np.asarray(beta_fn(u), dtype=float)
     dbeta = np.empty((n, n, n))
     for k in range(n):
@@ -517,8 +515,7 @@ class LameResult:
     iterations: int
 
 
-def lame_from_rotation(beta_fn, cauchy, axes,
-                       check_compatibility: bool = True) -> LameResult:
+def lame_from_rotation(beta_fn, cauchy, axes) -> LameResult:
     """Rebuild scale factors on a tensor grid from a rotation field and
     per-axis Cauchy data.
 
@@ -535,7 +532,7 @@ def lame_from_rotation(beta_fn, cauchy, axes,
     shape = grids[0].shape
     pts = np.stack([g.ravel() for g in grids], axis=1)
 
-    if check_compatibility and n >= 3:
+    if n >= 3:
         probe = pts[len(pts) // 2]
         worst = check_beta_systems(beta_fn, n, probe).eq4
         worst = max((abs(v) for v in worst), default=0.0)

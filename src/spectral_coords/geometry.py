@@ -4,15 +4,20 @@ Every check here (metric orthogonality, scale factors, rotation
 coefficients, the curvature equation systems, Christoffel/Riemann, the
 immersion system, and the normalization invariant) is a closed form in the
 map's value and its first three u-derivatives at one point, held in a
-`Jet`. Where a function takes a map, it gets the jet in one of two ways:
+`Jet`. The metric is the Euclidean one, g_ab = sum_k dx^k/du^a dx^k/du^b,
+for which the paper's maps are orthogonal. A function that takes a map
+gets its jet in one of two ways:
 
-- a `Solver` or `SpectralData` gets the exact jet from `Solver.jet`, which
-  differentiates the linear system behind the map;
-- any other callable, taking an (m, n) array of parameter points to an
-  (m, n) array of (possibly complex) coordinates, gets a jet from one
-  sparse central-difference stencil evaluated in a single batch. This is
-  the independent cross-check on the exact path; the FDConfig arguments
-  apply to it alone.
+- a `Solver` gets the exact jet from `Solver.jet`, which differentiates
+  the linear system behind the map;
+- a callable, taking an (m, n) array of parameter points to an (m, n)
+  array of (possibly complex) coordinates, gets a jet from one sparse
+  central-difference stencil evaluated in a single batch. This is the
+  independent cross-check on the exact path; the FDConfig arguments apply
+  to it alone.
+
+Anything else is a TypeError. The Jacobian J[k, a] = dx^k/du^a is
+`jet(source, u, 1).dx.T`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baker import Solver
-from .curve import SpectralData, check_Q_residues
+from .curve import check_Q_residues
 from .errors import (InputError, NonPositiveDiagonal, SpectralError,
                      StencilFailure)
 
@@ -141,54 +146,46 @@ def _fd_jet(map_fn, u, order, fd_first, fd_higher) -> Jet:
     return Jet(u, *derivs)
 
 
-def _jets(map_fn, us, order, fd_first, fd_higher) -> list:
-    """One Jet per row of us: exact for solver-backed maps, FD otherwise."""
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    if isinstance(map_fn, (Solver, SpectralData)):
-        solver = map_fn if isinstance(map_fn, Solver) else Solver(map_fn)
-        derivs = solver.jet(us, order)
-        return [Jet(u, *(d[s] for d in derivs)) for s, u in enumerate(us)]
-    return [_fd_jet(map_fn, u, order, fd_first, fd_higher) for u in us]
-
-
-def jet(map_fn, u, order: int = 3, fd_first: FDConfig = FIRST_DERIVATIVE_FD,
+def jet(source, u, order: int = 3, fd_first: FDConfig = FIRST_DERIVATIVE_FD,
         fd_second: FDConfig = SECOND_DERIVATIVE_FD) -> Jet:
-    """Value and u-derivatives up to `order` of the map at u.
+    """Value and u-derivatives up to `order` of the map at one point u.
 
-    Exact for a Solver or SpectralData. For a plain callable, first
-    derivatives come from fd_first and higher ones from fd_second.
+    Exact for a Solver. For a callable, first derivatives come from
+    fd_first and higher ones from fd_second.
     """
-    return _jets(map_fn, u, order, fd_first, fd_second)[0]
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if isinstance(source, Solver):
+        return Jet(u, *(d[0] for d in source.jet(u, order)))
+    if not callable(source):
+        raise TypeError("a map source is a Solver or a callable, not "
+                        f"{type(source).__name__}")
+    return _fd_jet(source, u, order, fd_first, fd_second)
 
 
 # ---------------------------------------------------------------------------
 # closed forms over a jet
 # ---------------------------------------------------------------------------
 
-def _eta(eta, n) -> np.ndarray:
-    return np.ones(n) if eta is None else np.asarray(eta, dtype=float)
+def _metric(j: Jet) -> np.ndarray:
+    """g[a, b] = sum_k dx^k/du^a dx^k/du^b, bilinear (no conjugate)."""
+    return np.einsum("ak,bk->ab", j.dx, j.dx)
 
 
-def _metric(j: Jet, eta) -> np.ndarray:
-    """g[a, b] = sum_k eta_k dx^k/du^a dx^k/du^b, bilinear (no conjugate)."""
-    return np.einsum("ak,k,bk->ab", j.dx, eta, j.dx)
-
-
-def _scale_factors(j: Jet, eta):
+def _scale_factors(j: Jet):
     """H_i = sqrt(Re g_ii) with dH[a, i] = dH_i/du^a and
     d2H[a, b, i], as far as the jet reaches (None beyond)."""
-    G = np.einsum("ik,k,ik->i", j.dx, eta, j.dx).real
+    G = np.einsum("ik,ik->i", j.dx, j.dx).real
     if np.any(G <= 0):
         raise NonPositiveDiagonal(
             f"metric diagonal {G.tolist()} at u = {j.u.tolist()}")
     H = np.sqrt(G)
     dH = d2H = None
     if j.d2x is not None:
-        dG = 2.0 * np.einsum("aik,k,ik->ai", j.d2x, eta, j.dx).real
+        dG = 2.0 * np.einsum("aik,ik->ai", j.d2x, j.dx).real
         dH = dG / (2.0 * H)
     if j.d3x is not None:
-        d2G = 2.0 * (np.einsum("abik,k,ik->abi", j.d3x, eta, j.dx)
-                     + np.einsum("aik,k,bik->abi", j.d2x, eta, j.d2x)).real
+        d2G = 2.0 * (np.einsum("abik,ik->abi", j.d3x, j.dx)
+                     + np.einsum("aik,bik->abi", j.d2x, j.d2x)).real
         # G = H^2, so d_ab G = 2 d_a H d_b H + 2 H d_ab H
         d2H = (d2G - 2.0 * dH[:, None, :] * dH[None, :, :]) / (2.0 * H)
     return H, dH, d2H
@@ -318,19 +315,13 @@ def rotation_systems(beta, dbeta):
 # public checks
 # ---------------------------------------------------------------------------
 
-def jacobian(map_fn, u, fd: FDConfig = FIRST_DERIVATIVE_FD) -> np.ndarray:
-    """J[k, a] = d x^k / d u^a."""
-    return jet(map_fn, u, 1, fd, fd).dx.T
-
-
-def metric(map_fn, u, fd: FDConfig = FIRST_DERIVATIVE_FD, eta=None):
-    """Gram matrix of the Jacobian with weights eta.
+def metric(source, u, fd: FDConfig = FIRST_DERIVATIVE_FD):
+    """Gram matrix of the Jacobian.
 
     Returns (g, imag_max): the real part of the metric and the largest
     imaginary component encountered (reported, never dropped silently).
     """
-    j = jet(map_fn, u, 1, fd, fd)
-    g = _metric(j, _eta(eta, j.u.size))
+    g = _metric(jet(source, u, 1, fd, fd))
     return g.real.copy(), float(np.max(np.abs(g.imag)))
 
 
@@ -341,59 +332,48 @@ def lame(g) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def rotation(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD, eta=None) -> np.ndarray:
-    j = jet(map_fn, u, 2, fd, fd)
-    H, dH, _ = _scale_factors(j, _eta(eta, j.u.size))
+def rotation(source, u, fd: FDConfig = SECOND_DERIVATIVE_FD) -> np.ndarray:
+    H, dH, _ = _scale_factors(jet(source, u, 2, fd, fd))
     return _rotation(H, dH)[0]
 
 
-def check_systems(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD,
-                  eta=None) -> SystemResiduals:
+def check_systems(source, u,
+                  fd: FDConfig = SECOND_DERIVATIVE_FD) -> SystemResiduals:
     """Residuals of the curvature equations for the scale factors (the
     second-derivative pair) and the rotation-coefficient form of the same
     conditions (first-derivative pair)."""
-    j = jet(map_fn, u, 3, fd, fd)
-    return _systems(*_scale_factors(j, _eta(eta, j.u.size)))
+    return _systems(*_scale_factors(jet(source, u, 3, fd, fd)))
 
 
-def christoffel_and_riemann(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD,
-                            eta=None):
+def christoffel_and_riemann(source, u, fd: FDConfig = SECOND_DERIVATIVE_FD):
     """Christoffel symbols at u and the max |R^a_{b c d}| of the curvature
     tensor assembled from the symbols and their derivatives."""
-    j = jet(map_fn, u, 3, fd, fd)
-    gamma, dgamma = _christoffel(*_scale_factors(j, _eta(eta, j.u.size)))
+    gamma, dgamma = _christoffel(*_scale_factors(jet(source, u, 3, fd, fd)))
     return gamma, _riemann_max(gamma, dgamma)
 
 
-def check_immersion(map_fn, u, fd: FDConfig = SECOND_DERIVATIVE_FD,
-                    eta=None) -> float:
+def check_immersion(source, u, fd: FDConfig = SECOND_DERIVATIVE_FD) -> float:
     """Max residual of the linear immersion system relating second
     derivatives of x to Christoffel symbols."""
-    j = jet(map_fn, u, 2, fd, fd)
-    H, dH, _ = _scale_factors(j, _eta(eta, j.u.size))
+    j = jet(source, u, 2, fd, fd)
+    H, dH, _ = _scale_factors(j)
     return _immersion_max(j, _christoffel(H, dH)[0])
 
 
-def epsilon_invariant(data, u_samples, fd: FDConfig = FIRST_DERIVATIVE_FD,
-                      map_fn=None) -> np.ndarray:
+def epsilon_invariant(solver: Solver, u_samples, H) -> np.ndarray:
     """Relative spread of eta0^2 H_i^2 / h_i^2 across the samples.
 
     The theory makes this ratio a u-independent constant per axis; the
     returned vector holds the observed max relative deviation for each i.
-    data is SpectralData or its Solver. H comes from map_fn when given
-    (a plain callable is differentiated with fd), else from the exact
-    jet of data's own map.
+    H[s][i] is the scale factor H_i at u_samples[s], as the caller
+    measured it (for example `GeometryReport.lame`); h_i comes from
+    solver's own map.
     """
-    solver = data if isinstance(data, Solver) else Solver(data)
     eta0_sq = check_Q_residues(solver.data)
-    u_samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
-    lead = solver.h_batch(u_samples)
-    jets = _jets(solver if map_fn is None else map_fn, u_samples, 1, fd, fd)
-    eta = np.ones(solver.data.n)
-    H = np.array([_scale_factors(j, eta)[0] for j in jets])
-    ratios = eta0_sq * H ** 2 / lead ** 2
+    ratios = eta0_sq * np.asarray(H, dtype=float) ** 2 \
+        / solver.h_batch(u_samples) ** 2
     ref = ratios[0]
-    return np.max(np.abs(ratios - ref[None, :]) / np.abs(ref)[None, :], axis=0)
+    return np.max(np.abs(ratios - ref) / np.abs(ref), axis=0)
 
 
 @dataclass
@@ -415,17 +395,15 @@ class GeometryReport:
         return dict(self.__dict__)
 
 
-def build_report(map_fn, u,
+def build_report(source, u,
                  fd_first: FDConfig = FIRST_DERIVATIVE_FD,
-                 fd_second: FDConfig = SECOND_DERIVATIVE_FD,
-                 eta=None) -> GeometryReport:
+                 fd_second: FDConfig = SECOND_DERIVATIVE_FD) -> GeometryReport:
     """One-stop verification record at a single parameter point, from one
     third-order jet."""
-    j = jet(map_fn, u, 3, fd_first, fd_second)
-    eta = _eta(eta, j.u.size)
-    g = _metric(j, eta).real
+    j = jet(source, u, 3, fd_first, fd_second)
+    g = _metric(j).real
     off = g - np.diag(np.diagonal(g))
-    H, dH, d2H = _scale_factors(j, eta)
+    H, dH, d2H = _scale_factors(j)
     beta, _ = _rotation(H, dH)
     systems = _systems(H, dH, d2H)
     gamma, dgamma = _christoffel(H, dH, d2H)

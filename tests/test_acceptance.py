@@ -25,8 +25,9 @@ from spectral_coords.errors import (CountMismatch, DivisorMismatch,
                                     InputError, Mismatch, NonPositive,
                                     SpectralError)
 from spectral_coords.geometry import (FIRST_DERIVATIVE_FD, build_report,
-                                      epsilon_invariant, metric)
+                                      epsilon_invariant, lame, metric)
 from spectral_coords.numerics import (FactoredRational, RationalDifferential)
+from test_dressing import TrapezoidGrid
 
 rng = np.random.default_rng(20240817)
 
@@ -194,9 +195,9 @@ def test_criterion_05_validator_gates(capsys):
 def test_criterion_06_orthogonality(capsys):
     worst_ratio = 0.0
     for name in ALL_ENTRIES:
-        data = gallery.build(name).data
-        for u in sample_points(data.n, 3):
-            g, _ = metric(data, u, FIRST_DERIVATIVE_FD)
+        solver = Solver(gallery.build(name).data)
+        for u in sample_points(solver.data.n, 3):
+            g, _ = metric(solver, u, FIRST_DERIVATIVE_FD)
             off = g - np.diag(np.diagonal(g))
             bound = 1e-6 * (1.0 + np.linalg.norm(g))
             worst_ratio = max(worst_ratio, float(np.max(np.abs(off))) / bound)
@@ -205,7 +206,7 @@ def test_criterion_06_orthogonality(capsys):
            f"{len(ALL_ENTRIES)} entries")
 
 
-def regular_samples(data, count, halfwidth=0.35, floor=0.15):
+def regular_samples(solver, count, halfwidth=0.35, floor=0.15):
     """Random u where no scale factor degenerates.
 
     Some entries have coordinate singularities inside the box (a scale
@@ -214,8 +215,8 @@ def regular_samples(data, count, halfwidth=0.35, floor=0.15):
     """
     out = []
     for _ in range(50 * count):
-        u = rng.uniform(-halfwidth, halfwidth, size=data.n)
-        g, _ = metric(data, u, FIRST_DERIVATIVE_FD)
+        u = rng.uniform(-halfwidth, halfwidth, size=solver.data.n)
+        g, _ = metric(solver, u, FIRST_DERIVATIVE_FD)
         H = np.sqrt(np.maximum(np.diagonal(g).copy(), 0.0))
         if np.min(H) >= floor and np.max(H) <= 20.0:
             out.append(u)
@@ -224,8 +225,8 @@ def regular_samples(data, count, halfwidth=0.35, floor=0.15):
     raise AssertionError("could not find regular sample points")
 
 
-def _system_gates_pass(data, u, tol=1e-4):
-    rep = build_report(data, u)
+def _system_gates_pass(solver, u, tol=1e-4):
+    rep = build_report(solver, u)
     h_scale = 1.0 + max(rep.lame) ** 2
     x_scale = 1.0 + max(abs(v[0]) for v in rep.x)
     checks = [rep.eq1_max, rep.eq2_max, rep.eq4_max, rep.eq5_max,
@@ -238,9 +239,9 @@ def _system_gates_pass(data, u, tol=1e-4):
 def test_criterion_07_flatness_and_systems(capsys):
     worst = 0.0
     for name in BASE_ENTRIES:
-        data = gallery.build(name).data
-        for u in regular_samples(data, 3):
-            worst = max(worst, _system_gates_pass(data, u))
+        solver = Solver(gallery.build(name).data)
+        for u in regular_samples(solver, 3):
+            worst = max(worst, _system_gates_pass(solver, u))
     report(capsys, 7, "flatness and systems", worst <= 1.0,
            f"worst residual at {worst:.3f} of 1e-4*(1+scale), "
            f"{len(BASE_ENTRIES)} entries")
@@ -249,9 +250,10 @@ def test_criterion_07_flatness_and_systems(capsys):
 def test_criterion_08_epsilon_invariant(capsys):
     worst = 0.0
     for name in ALL_ENTRIES:
-        data = gallery.build(name).data
-        us = sample_points(data.n, 10)
-        worst = max(worst, float(np.max(epsilon_invariant(data, us))))
+        solver = Solver(gallery.build(name).data)
+        us = sample_points(solver.data.n, 10)
+        H = [lame(metric(solver, u)[0]) for u in us]
+        worst = max(worst, float(np.max(epsilon_invariant(solver, us, H))))
     report(capsys, 8, "normalization-ratio invariance", worst <= 1e-6,
            f"max relative spread {worst:.2e} across 10 random u")
 
@@ -309,7 +311,7 @@ def test_criterion_10_dressing(capsys):
         for sp in (-0.5, 0.0, 1.0, 2.5))
 
     def trap_err(N):
-        g = Grid(s=-0.5, s_max=6.0, N=N, rule="trapezoid")
+        g = TrapezoidGrid(s=-0.5, s_max=6.0, N=N)
         s = solve_marchenko_kernel(F_fn, 1, g)
         return abs(float(s.diagonal()[0, 0]) - exact(g.s, g.s))
 
@@ -389,15 +391,15 @@ def test_criterion_12_radial_family_scaling(capsys):
         gallery.spherical_n(n).data.components == 4 * n - 3
         for n in (3, 4, 5, 6))
 
-    data = gallery.spherical_n(4).data
+    solver = Solver(gallery.spherical_n(4).data)
     sweep_worst = 0.0
     orth_worst = 0.0
     for u in (np.zeros(4), rng.uniform(-0.3, 0.3, size=4)):
-        g, _ = metric(data, u, FIRST_DERIVATIVE_FD)
+        g, _ = metric(solver, u, FIRST_DERIVATIVE_FD)
         off = float(np.max(np.abs(g - np.diag(np.diagonal(g)))))
         orth_worst = max(orth_worst,
                          off / (1e-6 * (1.0 + np.linalg.norm(g))))
-        sweep_worst = max(sweep_worst, _system_gates_pass(data, u))
+        sweep_worst = max(sweep_worst, _system_gates_pass(solver, u))
     elapsed = time.perf_counter() - t0
 
     ok = counts_ok and orth_worst <= 1.0 and sweep_worst <= 1.0 \

@@ -447,6 +447,16 @@ def test_dress_fat_tail_exit_code(tmp_path, capsys):
     assert "s_max" in err
 
 
+def test_dress_has_no_quadrature_rule_option(tmp_path, capsys):
+    # Gauss-Legendre is the only rule; the trapezoid rule lives in the
+    # tests as the oracle
+    path = tmp_path / "kern.json"
+    path.write_text(json.dumps(KERNEL2))
+    code, out, err = run(capsys, "dress", str(path), "--rule", "trapezoid")
+    assert code == 2 and out == ""
+    assert "--rule" in err
+
+
 def test_dress_rejects_unknown_family(tmp_path, capsys):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"n": 1, "phi": [

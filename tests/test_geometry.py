@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,8 @@ from spectral_coords.geometry import (FIRST_DERIVATIVE_FD,
                                       SECOND_DERIVATIVE_FD, build_report,
                                       check_immersion, check_systems,
                                       christoffel_and_riemann,
-                                      epsilon_invariant, jacobian, jet, lame,
-                                      metric, rotation)
+                                      epsilon_invariant, jet, lame, metric,
+                                      rotation)
 from spectral_coords.numerics import INF, FactoredRational
 
 rng = np.random.default_rng(20240814)
@@ -23,9 +26,13 @@ def polar_map(us):
     return np.stack([r * np.cos(us[:, 1]), r * np.sin(us[:, 1])], axis=1)
 
 
+def polar_solver():
+    return Solver(gallery.build("polar").data)
+
+
 def test_jacobian_of_plain_callable():
     u = np.array([0.3, 0.7])
-    J = jacobian(polar_map, u)
+    J = jet(polar_map, u, 1).dx.T  # J[k, a] = dx^k/du^a
     r = np.exp(u[0])
     expected = np.array([
         [r * np.cos(u[1]), -r * np.sin(u[1])],
@@ -34,15 +41,23 @@ def test_jacobian_of_plain_callable():
     assert np.allclose(J, expected, atol=1e-9)
 
 
-def test_jacobian_accepts_spectral_data_directly():
-    data = gallery.build("polar").data
+def test_exact_jacobian_matches_plain_callable():
     u = np.array([0.1, -0.2])
-    assert np.allclose(jacobian(data, u), jacobian(polar_map, u), atol=1e-9)
+    assert np.allclose(jet(polar_solver(), u, 1).dx,
+                       jet(polar_map, u, 1).dx, atol=1e-9)
+
+
+@pytest.mark.parametrize("source", [
+    gallery.build("polar").data, np.array([1.0, 2.0]), None])
+def test_jet_takes_only_a_solver_or_a_callable(source):
+    # spectral data used to be rebuilt into a Solver on every call
+    with pytest.raises(TypeError, match="Solver"):
+        jet(source, np.zeros(2))
 
 
 def test_metric_is_diagonal_with_known_scale_factors():
     u = np.array([-0.2, 0.9])
-    g, imag_max = metric(gallery.build("polar").data, u)
+    g, imag_max = metric(polar_solver(), u)
     assert imag_max < 1e-9
     r2 = np.exp(2 * u[0])
     assert g[0, 0] == pytest.approx(r2, rel=1e-7)
@@ -62,18 +77,18 @@ def test_rotation_closed_form():
     # both scale factors are e^{u1}, so the only nonzero coefficient is
     # the (1,2) one and it equals 1
     u = np.array([0.25, -0.4])
-    beta = rotation(gallery.build("polar").data, u)
+    beta = rotation(polar_solver(), u)
     assert beta[0, 1] == pytest.approx(1.0, abs=1e-6)
     assert abs(beta[1, 0]) < 1e-6
     assert abs(beta[0, 0]) < 1e-6 and abs(beta[1, 1]) < 1e-6
 
 
 def test_system_families_by_dimension():
-    res2 = check_systems(gallery.build("polar").data, np.array([0.1, 0.2]))
+    res2 = check_systems(polar_solver(), np.array([0.1, 0.2]))
     assert res2.eq1 == [] and res2.eq4 == []
     assert len(res2.eq2) == 1 and len(res2.eq5) == 1
 
-    res3 = check_systems(gallery.build("spherical3").data,
+    res3 = check_systems(Solver(gallery.build("spherical3").data),
                          np.array([0.1, -0.1, 0.2]))
     assert len(res3.eq1) == 3
     assert len(res3.eq2) == 3
@@ -84,15 +99,15 @@ def test_system_families_by_dimension():
 
 def test_flat_metrics_have_vanishing_curvature():
     for name in ("euclidean2", "polar", "example2"):
-        data = gallery.build(name).data
-        u = rng.uniform(-0.3, 0.3, size=data.n)
-        _, riemann_max = christoffel_and_riemann(data, u)
+        solver = Solver(gallery.build(name).data)
+        u = rng.uniform(-0.3, 0.3, size=solver.data.n)
+        _, riemann_max = christoffel_and_riemann(solver, u)
         assert riemann_max < 1e-5, name
 
 
 def test_christoffel_closed_form_for_conformal_factor():
     u = np.array([0.2, 0.5])
-    gamma, _ = christoffel_and_riemann(gallery.build("polar").data, u)
+    gamma, _ = christoffel_and_riemann(polar_solver(), u)
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
     expected[0, 1, 1] = -1.0
@@ -102,21 +117,39 @@ def test_christoffel_closed_form_for_conformal_factor():
 
 def test_immersion_system_closes():
     for name in ("polar", "example3"):
-        data = gallery.build(name).data
-        u = rng.uniform(-0.3, 0.3, size=data.n)
-        assert check_immersion(data, u) < 1e-6, name
+        solver = Solver(gallery.build(name).data)
+        u = rng.uniform(-0.3, 0.3, size=solver.data.n)
+        assert check_immersion(solver, u) < 1e-6, name
 
 
 def test_epsilon_ratio_is_parameter_independent():
-    data = gallery.build("example1").data
-    us = rng.uniform(-0.4, 0.4, size=(5, data.n))
-    spread = epsilon_invariant(data, us)
-    assert spread.shape == (data.n,)
+    solver = Solver(gallery.build("example1").data)
+    us = rng.uniform(-0.4, 0.4, size=(5, solver.data.n))
+    H = [lame(metric(solver, u)[0]) for u in us]
+    spread = epsilon_invariant(solver, us, H)
+    assert spread.shape == (solver.data.n,)
     assert np.max(spread) < 1e-6
 
 
+def test_example1_residuals_are_roundoff_over_powers_of_min_scale_factor():
+    # verify's default 3x3 grid on example1 reaches u = (0.4, -0.4), where
+    # the smallest scale factor is about 1.2e-3. The Riemann tensor divides
+    # by H^3 and eq2 by H^2, so roundoff of order eps in the jet reads
+    # there as about eps/H_min^3 and eps/H_min^2; elsewhere on the grid
+    # the residuals are at roundoff.
+    solver = Solver(gallery.build("example1").data)
+    axis = np.linspace(-0.4, 0.4, 3)
+    for u in itertools.product(axis, repeat=2):
+        rep = build_report(solver, np.array(u))
+        h_min = min(rep.lame)
+        assert rep.riemann_max * h_min ** 3 <= 1e-15, u
+        assert rep.eq2_max * h_min ** 2 <= 1e-15, u
+        if h_min >= 0.1:
+            assert rep.riemann_max <= 1e-13, u
+
+
 def test_build_report_fields_and_serialization():
-    report = build_report(gallery.build("polar").data, np.array([0.0, 1.0]))
+    report = build_report(polar_solver(), np.array([0.0, 1.0]))
     assert report.x[0][0] == pytest.approx(np.cos(1.0), abs=1e-10)
     assert report.x[1][0] == pytest.approx(np.sin(1.0), abs=1e-10)
     assert report.imag_max < 1e-10
@@ -199,22 +232,26 @@ def _singular_data():
 
 
 def test_exact_path_raises_singular_system():
-    data = _singular_data()
+    solver = Solver(_singular_data())
     with pytest.raises(SingularSystem):
-        Solver(data).jet(np.zeros(1), 3)
+        solver.jet(np.zeros(1), 3)
     with pytest.raises(SingularSystem):
-        build_report(data, np.zeros(1))
+        build_report(solver, np.zeros(1))
     with pytest.raises(SingularSystem):
-        metric(data, np.zeros(1))
+        metric(solver, np.zeros(1))
 
 
 def test_exact_path_raises_nonpositive_diagonal():
-    # with eta = (1, -1) the polar metric's first diagonal entry is
-    # e^{2 u1} cos(2 u2), negative at u2 = pi/2
+    # scaling every normalization value by 1j scales the map by 1j (the
+    # solve is linear in them), so the bilinear metric becomes -g and
+    # every Re g_ii is negative
     data = gallery.build("polar").data
+    data = dataclasses.replace(data, normalizations=tuple(
+        dataclasses.replace(nm, value=1j * nm.value)
+        for nm in data.normalizations))
+    solver = Solver(data)
     u = np.array([0.1, np.pi / 2])
-    eta = [1.0, -1.0]
     for check in (rotation, check_systems, christoffel_and_riemann,
                   check_immersion, build_report):
         with pytest.raises(NonPositiveDiagonal):
-            check(data, u, eta=eta)
+            check(solver, u)
