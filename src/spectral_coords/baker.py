@@ -28,6 +28,15 @@ from .errors import EssentialSingularity, PoleEvaluation, SingularSystem
 from .numerics import is_inf, same_point
 
 CONDITION_LIMIT = 1e12
+# Rows of A(u) per stacked solve. A block holds A(u) and the solution
+# [c | A^-1], about 2 * _SOLVE_BLOCK * size^2 complex entries (7 MiB at
+# size 15), so a batch's working memory does not grow with its length.
+_SOLVE_BLOCK = 1024
+# A row passes the screen when sqrt(kappa_1 kappa_inf) from the computed
+# inverse is at most this share of CONDITION_LIMIT. The computed inverse
+# has relative error about size * kappa * eps <= 1e-3 at kappa = 1e12, so
+# half the limit keeps every row that passes below the limit in kappa_2.
+_SCREEN_MARGIN = 0.5
 
 
 def _phase_vector(data: SpectralData, comp: int, z) -> np.ndarray:
@@ -88,6 +97,12 @@ def _leading_rows(data: SpectralData, offsets):
         h_base.append(_basis_row(data, cp.component, cp.point, offsets))
         h_phase.append(vec)
     return np.array(h_base), np.array(h_phase)
+
+
+def _norm_product(X: np.ndarray) -> np.ndarray:
+    """||X||_1 ||X||_inf for each matrix of a stack."""
+    X = np.abs(X)
+    return X.sum(axis=-2).max(axis=-1) * X.sum(axis=-1).max(axis=-1)
 
 
 def _exp_jet(phase: np.ndarray, weights: np.ndarray, order: int) -> list:
@@ -185,29 +200,82 @@ class Solver:
     # -- assembly and solving -------------------------------------------------
 
     def matrices(self, us: np.ndarray) -> np.ndarray:
+        """A(u) for a batch of u, shape (m, size, size). Where exp(phase . u)
+        overflows the entries are inf or nan; _factor refuses them."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        weights = self._base[:, None] * np.exp(self._phase @ us.T)  # (T, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = self._base[:, None] * np.exp(self._phase @ us.T)
         A = np.zeros((us.shape[0], self.size, self.size), dtype=complex)
         np.add.at(A, (slice(None), self._rows, self._cols), weights.T)
         return A
 
-    def _checked_matrices(self, us: np.ndarray):
-        """A(u) for a batch of u and its condition numbers; raises
-        SingularSystem past CONDITION_LIMIT."""
-        A = self.matrices(us)
-        cond = np.linalg.cond(A)
-        worst = float(np.max(cond))
-        if not np.isfinite(worst) or worst > CONDITION_LIMIT:
+    def _factor(self, us: np.ndarray, inverse: bool = False):
+        """Coefficients c(u) for a batch of u, and A(u)^-1 when asked
+        (else None), from one stacked solve A [c | A^-1] = [b | I] per
+        block of _SOLVE_BLOCK rows.
+
+        The gate has two stages. A row passes at once when
+        sqrt(kappa_1 kappa_inf), taken from the solve's own inverse, is at
+        most _SCREEN_MARGIN * CONDITION_LIMIT; that bounds kappa_2 from
+        above (Higham, Accuracy and Stability of Numerical Algorithms,
+        sec. 6). The other rows, and every row of a block whose solve
+        raises LinAlgError, are judged together at the end by
+        np.linalg.cond: the worst of them past CONDITION_LIMIT raises
+        SingularSystem, so the refusals and the message are those of an
+        SVD of every row. A LinAlgError with no refusal is re-raised. A
+        non-finite A(u) raises SingularSystem before it is solved.
+        """
+        m = us.shape[0]
+        coeffs = np.empty((m, self.size), dtype=complex)
+        inv = np.empty((m, self.size, self.size), dtype=complex) \
+            if inverse else None
+        rhs = np.concatenate([self.rhs[:, None], np.eye(self.size)], axis=1)
+        doubtful_rows, doubtful_A, failure = [], [], None
+        for r0 in range(0, m, _SOLVE_BLOCK):
+            r1 = min(r0 + _SOLVE_BLOCK, m)
+            A = self.matrices(us[r0:r1])
+            finite = np.isfinite(A).all(axis=(1, 2))
+            if not finite.all():
+                k = r0 + int(np.argmin(finite))
+                raise SingularSystem(
+                    f"exp(phase . u) overflows at u = {us[k].tolist()}")
+            try:
+                sol = np.linalg.solve(
+                    A, np.broadcast_to(rhs, A.shape[:1] + rhs.shape))
+            except np.linalg.LinAlgError as exc:
+                failure = exc
+                doubtful_rows.append(np.arange(r0, r1))
+                doubtful_A.append(A)
+                continue
+            coeffs[r0:r1] = sol[..., 0]
+            if inverse:
+                inv[r0:r1] = sol[..., 1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound = np.sqrt(_norm_product(A) * _norm_product(sol[..., 1:]))
+                doubtful = ~(bound <= _SCREEN_MARGIN * CONDITION_LIMIT)
+            if doubtful.any():
+                doubtful_rows.append(r0 + np.flatnonzero(doubtful))
+                doubtful_A.append(A[doubtful])
+        if doubtful_rows:
+            cond = np.linalg.cond(np.concatenate(doubtful_A))
             k = int(np.argmax(cond))
-            raise SingularSystem(
-                f"condition estimate {worst:.3e} at u = {us[k].tolist()}")
-        return A, cond
+            worst = float(cond[k])
+            if not np.isfinite(worst) or worst > CONDITION_LIMIT:
+                u = us[np.concatenate(doubtful_rows)[k]]
+                raise SingularSystem(
+                    f"condition estimate {worst:.3e} at u = {u.tolist()}")
+        if failure is not None:
+            raise failure
+        return coeffs, inv
 
     def solve_batch(self, us: np.ndarray):
+        """Coefficients, 2-norm condition numbers of A(u) and residual
+        norms |A c - b| for a batch of u."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        A, cond = self._checked_matrices(us)
+        coeffs, _ = self._factor(us)
+        A = self.matrices(us)
+        cond = np.linalg.cond(A)
         b = np.broadcast_to(self.rhs, (us.shape[0], self.size))
-        coeffs = np.linalg.solve(A, b[..., None])[..., 0]
         resid = np.linalg.norm(
             np.einsum("mij,mj->mi", A, coeffs) - b, axis=1)
         return coeffs, cond, resid
@@ -215,14 +283,12 @@ class Solver:
     def map_batch(self, us: np.ndarray) -> np.ndarray:
         """Coordinates x(u) for a batch of u, shape (m, n), complex."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        coeffs, _, _ = self.solve_batch(us)
-        return self.map_from(us, coeffs)
+        return self.map_from(us, self._factor(us)[0])
 
     def h_batch(self, us: np.ndarray) -> np.ndarray:
         """Leading coefficients h_i(u) for a batch of u, shape (m, n)."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        coeffs, _, _ = self.solve_batch(us)
-        return self.h_from(us, coeffs)
+        return self.h_from(us, self._factor(us)[0])
 
     def map_from(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """x(u) from coefficients already solved at the same batch of u."""
@@ -245,7 +311,7 @@ class Solver:
 
         Entry k of the result has shape (m,) + (n,) * k + (n,):
         out[k][s, a1, ..., ak, j] = d^k x^j / du^a1 ... du^ak at us[s].
-        Each u costs one factorization of A(u), gated like solve_batch.
+        Each u costs one factorization of A(u), gated like map_batch.
         Differentiating A c = b gives, for each multi-index alpha,
         A c_alpha = -sum over proper subsets beta of alpha of
         (d^(alpha - beta) A) c_beta, and the derivatives of A are the
@@ -255,12 +321,9 @@ class Solver:
         if order not in (0, 1, 2, 3):
             raise ValueError(f"jet order must be 0 to 3, got {order}")
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        A, _ = self._checked_matrices(us)
         # one factorization gives c and the inverse that every
         # derivative order reuses
-        rhs = np.concatenate([self.rhs[:, None], np.eye(self.size)], axis=1)
-        sol = np.linalg.solve(A, np.broadcast_to(rhs, A.shape[:1] + rhs.shape))
-        coeffs, inverse = sol[..., 0], sol[..., 1:]
+        coeffs, inverse = self._factor(us, inverse=True)
 
         weights = _exp_jet(self._phase,
                            self._base * np.exp(us @ self._phase.T), order)

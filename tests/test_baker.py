@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords.baker import Solver
+from spectral_coords.baker import _SOLVE_BLOCK, CONDITION_LIMIT, Solver
 from spectral_coords.curve import (ComponentAnsatz, CurvePoint, EssentialTerm,
                                    Normalization, SpectralData)
 from spectral_coords.errors import EssentialSingularity, SingularSystem
@@ -142,3 +144,94 @@ def test_coefficient_block_layout():
     # one block per component: the constant, then one entry per pole
     assert np.diff(solver.offsets).tolist() == [
         1 + len(comp.poles) for comp in data.ansatz]
+
+
+def _gate_by_svd(solver, us):
+    """The refusal message of a gate that takes np.linalg.cond of every row
+    at once, or None, with the conditions and the stacked-solve
+    coefficients when nothing is refused."""
+    A = solver.matrices(us)
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if not finite.all():
+        u = us[np.argmin(finite)]
+        return f"exp(phase . u) overflows at u = {u.tolist()}", None, None
+    cond = np.linalg.cond(A)
+    worst = float(np.max(cond))
+    if not np.isfinite(worst) or worst > CONDITION_LIMIT:
+        u = us[np.argmax(cond)]
+        return (f"condition estimate {worst:.3e} at u = {u.tolist()}",
+                None, None)
+    rhs = np.concatenate([solver.rhs[:, None], np.eye(solver.size)], axis=1)
+    sol = np.linalg.solve(A, np.broadcast_to(rhs, A.shape[:1] + rhs.shape))
+    return None, cond, sol[..., 0]
+
+
+SWEEP_RADII = (1, 2, 4, 8, 15, 25, 35, 45, 60)
+
+
+def test_screen_refuses_exactly_what_an_svd_of_every_row_refuses():
+    # batches of 2500 rows span three solve blocks, so refusals land in
+    # different blocks
+    refusals = {}
+    for name in ALL_NAMES:
+        solver = Solver(gallery.build(name).data)
+        sweep = np.random.default_rng(sum(map(ord, name)))
+        for r in SWEEP_RADII:
+            for rows in (1, 7, 2500):
+                us = r * sweep.uniform(-1.0, 1.0, (rows, solver.data.n))
+                message, cond, coeffs = _gate_by_svd(solver, us)
+                if message is not None:
+                    with pytest.raises(SingularSystem) as info:
+                        solver.map_batch(us)
+                    assert str(info.value) == message
+                    refusals.setdefault(name, []).append(message)
+                    continue
+                assert np.array_equal(solver._factor(us)[0], coeffs)
+                if rows < 2500:
+                    assert np.array_equal(solver.solve_batch(us)[1], cond)
+    assert sum(map(len, refusals.values())) == 104
+    assert [m.split()[2] for m in refusals["spherical4"]] == [
+        "8.682e+13", "1.377e+16", "1.184e+20", "1.580e+20", "3.703e+26",
+        "7.033e+26"]
+
+
+def test_solve_batch_reports_the_svd_condition_and_residual():
+    solver = Solver(gallery.build("spherical3").data)
+    us = rng.uniform(-0.5, 0.5, size=(5, 3))
+    coeffs, cond, resid = solver.solve_batch(us)
+    A = solver.matrices(us)
+    assert np.array_equal(cond, np.linalg.cond(A))
+    assert np.array_equal(resid, np.linalg.norm(
+        np.einsum("mij,mj->mi", A, coeffs) - solver.rhs, axis=1))
+
+
+def test_map_batch_blocks_are_independent():
+    solver = Solver(gallery.build("cylindrical").data)
+    us = rng.uniform(-0.5, 0.5, size=(3 * _SOLVE_BLOCK - 17, 3))
+    parts = [solver.map_batch(us[r0:r0 + _SOLVE_BLOCK])
+             for r0 in range(0, len(us), _SOLVE_BLOCK)]
+    assert np.array_equal(solver.map_batch(us), np.concatenate(parts))
+
+
+def test_map_batch_memory_does_not_grow_with_the_batch():
+    solver = Solver(gallery.build("spherical3").data)
+    us = rng.uniform(-0.5, 0.5, size=(20000, 3))
+    tracemalloc.start()
+    try:
+        solver.map_batch(us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("call", ["map_batch", "h_batch", "solve_batch",
+                                  "jet"])
+def test_overflowing_exponent_is_refused_without_warnings(call):
+    # exp(phase . u) overflows at u1 = -800; RuntimeWarnings are errors here
+    solver = Solver(gallery.build("polar").data)
+    us = np.array([[0.0, 0.0], [-800.0, 0.0], [-800.0, 1.0]])
+    with pytest.raises(SingularSystem,
+                       match=r"exp\(phase \. u\) overflows at u = "
+                             r"\[-800\.0, 0\.0\]"):
+        getattr(solver, call)(us)
