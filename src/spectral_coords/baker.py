@@ -105,6 +105,21 @@ def _norm_product(X: np.ndarray) -> np.ndarray:
     return X.sum(axis=-2).max(axis=-1) * X.sum(axis=-1).max(axis=-1)
 
 
+# The phase and basis products below are einsums, not complex `@`: with
+# OpenBLAS's zgemm, the np.exp that follows ran over ten times slower on
+# an AVX-512 host, and einsum leaves it alone.
+def _exp_phase(us: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """exp(phase_t . u) for a batch of u (m, n) and phases (T, n): (m, T)."""
+    return np.exp(np.einsum("mn,tn->mt", us, phase))
+
+
+def _psi(us: np.ndarray, coeffs: np.ndarray, base: np.ndarray,
+         phase: np.ndarray) -> np.ndarray:
+    """psi at points with basis rows `base` and phase vectors `phase`, for
+    a batch of u and its solved coefficients: (m, points)."""
+    return _exp_phase(us, phase) * np.einsum("mk,jk->mj", coeffs, base)
+
+
 def _exp_jet(phase: np.ndarray, weights: np.ndarray, order: int) -> list:
     """u-derivatives of factors of the form c * exp(phase . u).
 
@@ -204,9 +219,9 @@ class Solver:
         overflows the entries are inf or nan; _factor refuses them."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = self._base[:, None] * np.exp(self._phase @ us.T)
+            weights = self._base * _exp_phase(us, self._phase)  # (m, T)
         A = np.zeros((us.shape[0], self.size, self.size), dtype=complex)
-        np.add.at(A, (slice(None), self._rows, self._cols), weights.T)
+        np.add.at(A, (slice(None), self._rows, self._cols), weights)
         return A
 
     def _factor(self, us: np.ndarray, inverse: bool = False):
@@ -292,11 +307,11 @@ class Solver:
 
     def map_from(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """x(u) from coefficients already solved at the same batch of u."""
-        return np.exp(us @ self._q_phase.T) * (coeffs @ self._q_base.T)
+        return _psi(us, coeffs, self._q_base, self._q_phase)
 
     def h_from(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """h_i(u) from coefficients already solved at the same batch of u."""
-        return np.exp(us @ self._h_phase.T) * (coeffs @ self._h_base.T)
+        return _psi(us, coeffs, self._h_base, self._h_phase)
 
     def psi_from(self, us: np.ndarray, coeffs: np.ndarray, points) -> np.ndarray:
         """psi(u) at the given CurvePoints, shape (m, len(points)), from
@@ -304,7 +319,7 @@ class Solver:
         EssentialSingularity at a phase pole and PoleEvaluation at an
         ansatz pole."""
         base, phase = _point_rows(self.data, points, self.offsets)
-        return np.exp(us @ phase.T) * (coeffs @ base.T)
+        return _psi(us, coeffs, base, phase)
 
     def jet(self, us: np.ndarray, order: int = 3) -> list:
         """x(u) and its exact u-derivatives up to `order` (0 to 3).
@@ -326,7 +341,7 @@ class Solver:
         coeffs, inverse = self._factor(us, inverse=True)
 
         weights = _exp_jet(self._phase,
-                           self._base * np.exp(us @ self._phase.T), order)
+                           self._base * _exp_phase(us, self._phase), order)
         c = [coeffs]  # c[k]: (n,) * k + (m, size)
         for k in range(1, order + 1):
             gathered = [ck[..., self._cols] for ck in c]
@@ -334,8 +349,8 @@ class Solver:
                 @ self._row_scatter
             c.append(-np.einsum("mij,...mj->...mi", inverse, rows))
 
-        growth = _exp_jet(self._q_phase, np.exp(us @ self._q_phase.T), order)
-        rational = [ck @ self._q_base.T for ck in c]
+        growth = _exp_jet(self._q_phase, _exp_phase(us, self._q_phase), order)
+        rational = [np.einsum("...k,jk->...j", ck, self._q_base) for ck in c]
         return [np.moveaxis(_leibniz(growth, rational, k), k, 0)
                 for k in range(order + 1)]
 
