@@ -190,9 +190,22 @@ def test_screen_refuses_exactly_what_an_svd_of_every_row_refuses():
                 if rows < 2500:
                     assert np.array_equal(solver.solve_batch(us)[1], cond)
     assert sum(map(len, refusals.values())) == 104
-    assert [m.split()[2] for m in refusals["spherical4"]] == [
-        "8.682e+13", "1.377e+16", "1.184e+20", "1.580e+20", "3.703e+26",
-        "7.033e+26"]
+
+
+@pytest.mark.parametrize("name, u, message", [
+    ("euclidean2", [30.0, -15.0],
+     "condition estimate 3.493e+19 at u = [30.0, -15.0]"),
+    ("polar", [30.0, 0.5], "condition estimate 5.831e+13 at u = [30.0, 0.5]"),
+    ("spherical4", [30.0, 0.1, 0.1, 0.1],
+     "condition estimate 9.854e+13 at u = [30.0, 0.1, 0.1, 0.1]"),
+])
+def test_badly_scaled_refusals_keep_their_messages(name, u, message):
+    solver = Solver(gallery.build(name).data)
+    for call in (solver.solve_batch, solver.map_batch, solver.h_batch,
+                 solver.jet):
+        with pytest.raises(SingularSystem) as info:
+            call(u)
+        assert str(info.value) == message
 
 
 def test_solve_batch_reports_the_svd_condition_and_residual():

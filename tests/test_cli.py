@@ -138,6 +138,16 @@ def test_solve_singular_system_exit_code(tmp_path, capsys):
     assert "condition" in err
 
 
+def test_grid_refuses_an_overflowing_exponent(polar_file, capsys):
+    # exp(phase . u) overflows at u1 = -800; it used to leak two
+    # RuntimeWarnings and report "condition estimate nan"
+    code, out, err = run(capsys, "grid", polar_file,
+                         "--grid", "1:-800:800:3;2:0:1:2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: exp(phase . u) overflows at u = [-800.0, 0.0]\n"
+
+
 def test_verify_passes_on_small_grid(polar_file, capsys):
     code, out, _ = run(capsys, "verify", polar_file,
                        "--grid", "1:-0.3:0.3:2;2:-0.2:0.2:2")
