@@ -21,7 +21,8 @@ Each u costs one factorization: `map_batch`, `h_batch`, `jet` and
 of _SOLVE_BLOCK (1024) rows, so memory stays flat in the batch length.
 The gate on A(u) has two stages. A row passes when sqrt(kappa_1
 kappa_inf), read off that inverse, is at most half of CONDITION_LIMIT;
-it bounds the 2-norm condition number from above. The rows left over go
+it bounds the 2-norm condition number from above (Higham, "Accuracy and
+Stability of Numerical Algorithms", sec. 6). The rows left over go
 to np.linalg.cond, and the worst of them past CONDITION_LIMIT raises
 SingularSystem, so the refusals are those of an SVD of every row. An
 A(u) whose exp(phase . u) overflows is refused too. `solve_batch`
@@ -239,19 +240,14 @@ class Solver:
 
     def _factor(self, us: np.ndarray, inverse: bool = False):
         """Coefficients c(u) for a batch of u, and A(u)^-1 when asked
-        (else None), from one stacked solve A [c | A^-1] = [b | I] per
-        block of _SOLVE_BLOCK rows.
+        (else None), under the two-stage gate the module docstring sets out.
 
-        The gate has two stages. A row passes at once when
-        sqrt(kappa_1 kappa_inf), taken from the solve's own inverse, is at
-        most _SCREEN_MARGIN * CONDITION_LIMIT; that bounds kappa_2 from
-        above (Higham, Accuracy and Stability of Numerical Algorithms,
-        sec. 6). The other rows, and every row of a block whose solve
-        raises LinAlgError, are judged together at the end by
-        np.linalg.cond: the worst of them past CONDITION_LIMIT raises
-        SingularSystem, so the refusals and the message are those of an
-        SVD of every row. A LinAlgError with no refusal is re-raised. A
-        non-finite A(u) raises SingularSystem before it is solved.
+        Each block of _SOLVE_BLOCK rows is one stacked solve
+        A [c | A^-1] = [b | I]. The rows the screen does not clear, and
+        every row of a block whose solve raises LinAlgError, are judged
+        together by np.linalg.cond at the end, so the worst refusal is
+        found across blocks; a LinAlgError with no refusal is re-raised.
+        A non-finite A(u) is refused before it is solved.
         """
         m = us.shape[0]
         coeffs = np.empty((m, self.size), dtype=complex)
@@ -280,6 +276,7 @@ class Solver:
                 inv[r0:r1] = sol[..., 1:]
             with np.errstate(over="ignore", invalid="ignore"):
                 bound = np.sqrt(_norm_product(A) * _norm_product(sol[..., 1:]))
+                # a nan bound, from a non-finite inverse, is doubtful too
                 doubtful = ~(bound <= _SCREEN_MARGIN * CONDITION_LIMIT)
             if doubtful.any():
                 doubtful_rows.append(r0 + np.flatnonzero(doubtful))
