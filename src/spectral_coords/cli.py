@@ -237,11 +237,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     samples = _lattice(grid, data.n)
     solver = baker.Solver(data)
     source, fd_first = _geometry_source(args, solver)
-    fd_second = geometry.SECOND_DERIVATIVE_FD
 
     with ThreadPoolExecutor(max_workers=VERIFY_WORKERS) as pool:
         reports = list(pool.map(
-            lambda u: geometry.build_report(source, u, fd_first, fd_second),
+            lambda u: geometry.build_report(source, u, fd_first),
             samples))
 
     spread = geometry.epsilon_invariant(solver, samples,

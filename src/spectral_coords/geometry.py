@@ -13,8 +13,9 @@ gets its jet in one of two ways:
 - a callable, taking an (m, n) array of parameter points to an (m, n)
   array of (possibly complex) coordinates, gets a jet from one sparse
   central-difference stencil evaluated in a single batch. This is the
-  independent cross-check on the exact path; the FDConfig arguments apply
-  to it alone.
+  independent cross-check on the exact path. Its first derivatives use
+  the `fd_first` argument (FIRST_DERIVATIVE_FD by default), and every
+  higher one uses SECOND_DERIVATIVE_FD; a Solver ignores both.
 
 Anything else is a TypeError. The Jacobian J[k, a] = dx^k/du^a is
 `jet(source, u, 1).dx.T`.
@@ -84,7 +85,7 @@ class Jet:
     d3x: np.ndarray = None
 
 
-def _stencil_weights(n, order, fd_first, fd_higher):
+def _stencil_weights(n, order, fd_first):
     """Sparse stencil for every derivative of x up to `order`.
 
     Returns (steps, weights): the map is evaluated at u + steps[p], and
@@ -92,13 +93,13 @@ def _stencil_weights(n, order, fd_first, fd_higher):
     vector of weights over those points. Each derivative is a tensor
     product of 1-D central differences along its own axes, so no point
     moves more than three axes away from u. First derivatives use
-    fd_first, higher ones fd_higher.
+    fd_first, higher ones SECOND_DERIVATIVE_FD.
     """
     centre = (0.0, (0,) * n)
     rows = {centre: 0}  # (step size, offset in steps) -> point index
     weights = {}
     for k in range(1, order + 1):
-        fd = fd_first if k == 1 else fd_higher
+        fd = fd_first if k == 1 else SECOND_DERIVATIVE_FD
         for idx in itertools.combinations_with_replacement(range(n), k):
             per_axis = [[(axis, off, w) for off, w in
                          _STENCILS[mult][fd.order].items()]
@@ -122,9 +123,9 @@ def _stencil_weights(n, order, fd_first, fd_higher):
     return steps, weights
 
 
-def _fd_jet(map_fn, u, order, fd_first, fd_higher) -> Jet:
+def _fd_jet(map_fn, u, order, fd_first) -> Jet:
     n = u.size
-    steps, weights = _stencil_weights(n, order, fd_first, fd_higher)
+    steps, weights = _stencil_weights(n, order, fd_first)
     points = u[None, :] + steps
     try:
         values = np.asarray(map_fn(points), dtype=complex)
@@ -146,12 +147,12 @@ def _fd_jet(map_fn, u, order, fd_first, fd_higher) -> Jet:
     return Jet(u, *derivs)
 
 
-def jet(source, u, order: int = 3, fd_first: FDConfig = FIRST_DERIVATIVE_FD,
-        fd_second: FDConfig = SECOND_DERIVATIVE_FD) -> Jet:
+def jet(source, u, order: int = 3,
+        fd_first: FDConfig = FIRST_DERIVATIVE_FD) -> Jet:
     """Value and u-derivatives up to `order` of the map at one point u.
 
     Exact for a Solver. For a callable, first derivatives come from
-    fd_first and higher ones from fd_second.
+    fd_first and higher ones from SECOND_DERIVATIVE_FD.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if isinstance(source, Solver):
@@ -159,7 +160,7 @@ def jet(source, u, order: int = 3, fd_first: FDConfig = FIRST_DERIVATIVE_FD,
     if not callable(source):
         raise TypeError("a map source is a Solver or a callable, not "
                         f"{type(source).__name__}")
-    return _fd_jet(source, u, order, fd_first, fd_second)
+    return _fd_jet(source, u, order, fd_first)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def metric(source, u, fd: FDConfig = FIRST_DERIVATIVE_FD):
     Returns (g, imag_max): the real part of the metric and the largest
     imaginary component encountered (reported, never dropped silently).
     """
-    g = _metric(jet(source, u, 1, fd, fd))
+    g = _metric(jet(source, u, 1, fd))
     return g.real.copy(), float(np.max(np.abs(g.imag)))
 
 
@@ -332,30 +333,29 @@ def lame(g) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def rotation(source, u, fd: FDConfig = SECOND_DERIVATIVE_FD) -> np.ndarray:
-    H, dH, _ = _scale_factors(jet(source, u, 2, fd, fd))
+def rotation(source, u) -> np.ndarray:
+    H, dH, _ = _scale_factors(jet(source, u, 2))
     return _rotation(H, dH)[0]
 
 
-def check_systems(source, u,
-                  fd: FDConfig = SECOND_DERIVATIVE_FD) -> SystemResiduals:
+def check_systems(source, u) -> SystemResiduals:
     """Residuals of the curvature equations for the scale factors (the
     second-derivative pair) and the rotation-coefficient form of the same
     conditions (first-derivative pair)."""
-    return _systems(*_scale_factors(jet(source, u, 3, fd, fd)))
+    return _systems(*_scale_factors(jet(source, u, 3)))
 
 
-def christoffel_and_riemann(source, u, fd: FDConfig = SECOND_DERIVATIVE_FD):
+def christoffel_and_riemann(source, u):
     """Christoffel symbols at u and the max |R^a_{b c d}| of the curvature
     tensor assembled from the symbols and their derivatives."""
-    gamma, dgamma = _christoffel(*_scale_factors(jet(source, u, 3, fd, fd)))
+    gamma, dgamma = _christoffel(*_scale_factors(jet(source, u, 3)))
     return gamma, _riemann_max(gamma, dgamma)
 
 
-def check_immersion(source, u, fd: FDConfig = SECOND_DERIVATIVE_FD) -> float:
+def check_immersion(source, u) -> float:
     """Max residual of the linear immersion system relating second
     derivatives of x to Christoffel symbols."""
-    j = jet(source, u, 2, fd, fd)
+    j = jet(source, u, 2)
     H, dH, _ = _scale_factors(j)
     return _immersion_max(j, _christoffel(H, dH)[0])
 
@@ -396,11 +396,10 @@ class GeometryReport:
 
 
 def build_report(source, u,
-                 fd_first: FDConfig = FIRST_DERIVATIVE_FD,
-                 fd_second: FDConfig = SECOND_DERIVATIVE_FD) -> GeometryReport:
+                 fd_first: FDConfig = FIRST_DERIVATIVE_FD) -> GeometryReport:
     """One-stop verification record at a single parameter point, from one
     third-order jet."""
-    j = jet(source, u, 3, fd_first, fd_second)
+    j = jet(source, u, 3, fd_first)
     g = _metric(j).real
     off = g - np.diag(np.diagonal(g))
     H, dH, d2H = _scale_factors(j)

@@ -1,15 +1,17 @@
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords.curve import (ComponentAnsatz, CurvePoint, EssentialTerm,
-                                   Gluing, InvolutionSpec, Normalization,
-                                   SpectralData, arithmetic_genus,
-                                   check_involution, check_Q_residues,
-                                   check_regular, validate_counting)
+from spectral_coords.curve import (VALIDATOR_TOL, ComponentAnsatz, CurvePoint,
+                                   EssentialTerm, Gluing, InvolutionSpec,
+                                   Normalization, SpectralData,
+                                   arithmetic_genus, check_involution,
+                                   check_Q_residues, check_regular,
+                                   validate_counting)
 from spectral_coords.errors import (CountMismatch, DivisorMismatch,
                                     InputError, Mismatch, NonPositive,
                                     NotInvolution, PNotFixed)
@@ -142,6 +144,107 @@ class TestInvolution:
     def test_moebius_must_be_invertible(self):
         with pytest.raises(InputError):
             InvolutionSpec(component_perm=(0,), moebius=((1, 1, 1, 1),))
+
+    @pytest.mark.parametrize("row", [
+        (1e-7, 0, 0, -1e-7), (0, 1e-8, 1e-8, 0),
+        (1.5e308 + 1.5e308j, 0, 0, -1.5e308 - 1.5e308j)])
+    def test_scale_of_the_coefficients_does_not_matter(self, row):
+        # z -> -z, z -> 1/z and z -> -z, whose coefficients' moduli
+        # overflow a float
+        InvolutionSpec(component_perm=(0,), moebius=(row,))
+
+    def test_divisor_check_does_not_depend_on_the_scale(self):
+        data = gallery.build("polar").data
+        perm, maps = data.sigma.component_perm, data.sigma.moebius
+        # the last scale puts every coefficient's modulus above the
+        # largest float
+        for scale in (1e-150, 1e300, 1.5e308 * (1 + 1j)):
+            sigma = InvolutionSpec(perm, tuple(tuple(scale * x for x in row)
+                                               for row in maps))
+            assert check_involution(dataclasses.replace(data, sigma=sigma)) \
+                == check_involution(data)
+
+    @pytest.mark.parametrize("row", [(1e-8,) * 4, (0, 0, 0, 0)])
+    def test_degenerate_maps_are_refused_at_any_scale(self, row):
+        with pytest.raises(InputError,
+                           match=r"degenerate Moebius map \(ad - bc = 0\)"):
+            InvolutionSpec(component_perm=(0,), moebius=(row,))
+
+
+def sampled_involution_check(perm, moebius) -> bool:
+    """Sampled oracle for InvolutionSpec's exact check: on each component,
+    20 seeded points z of the box [-2, 2]^2 go through the component's map
+    and then its image's, and must come back within VALIDATOR_TOL (1 + |z|).
+    """
+    def moebius_map(row, z):  # None stands for the point at infinity
+        a, b, c, d = row
+        if z is None:
+            return None if c == 0 else a / c
+        den = c * z + d
+        return None if abs(den) <= 1e-14 * (1.0 + abs(z)) else (a * z + b) / den
+
+    rng = random.Random(20240817)
+    for comp, image in enumerate(perm):
+        if perm[image] != comp:
+            return False
+        for _ in range(20):
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            back = moebius_map(moebius[image], moebius_map(moebius[comp], z))
+            if back is None or abs(back - z) > VALIDATOR_TOL * (1.0 + abs(z)):
+                return False
+    return True
+
+
+def involution_verdict(perm, moebius) -> str:
+    try:
+        InvolutionSpec(perm, moebius)
+    except NotInvolution:
+        return "not involution"
+    except InputError:
+        return "degenerate"
+    return "accepted"
+
+
+SIGMA_SOURCES = {name: (lambda name=name: gallery.build(name))
+                 for name in gallery.BUILDERS}
+SIGMA_SOURCES.update({f"spherical_n({n})": (lambda n=n: gallery.spherical_n(n))
+                      for n in range(6, 11)})
+PERTURBATIONS = (1e-14, 1e-12, 5e-12, 1e-11, 2e-11, 3e-11, 5e-11, 1e-10,
+                 2e-10, 3e-10, 1e-9, 1e-8, 1e-6, 1e-3)
+# perturbations the sampled check accepts and the exact check refuses: its
+# bound is TOL/4, so that it is never looser than the samples anywhere
+TIGHTENED = {5e-12, 1e-11, 2e-11, 3e-11, 5e-11}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_SOURCES))
+def test_exact_involution_check_is_never_looser_than_sampling(name):
+    sigma = SIGMA_SOURCES[name]().data.sigma
+    perm, maps = sigma.component_perm, sigma.moebius
+    # perturb one map: one that swaps two components if there is one
+    comp = next((c for c, t in enumerate(perm) if t != c), 0)
+    cases = [(0.0, maps)]
+    for entry in range(4):
+        x = maps[comp][entry]
+        for w in (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1, -1):
+            for delta in PERTURBATIONS:
+                row = list(maps[comp])
+                row[entry] = x + delta * (1.0 + abs(x)) * w
+                cases.append((delta, maps[:comp] + (tuple(row),)
+                              + maps[comp + 1:]))
+    tightened = set()
+    for delta, case in cases:
+        sampled = sampled_involution_check(perm, case)
+        verdict = involution_verdict(perm, case)
+        assert verdict != "accepted" or sampled, (delta, case)
+        if sampled and verdict != "accepted":
+            tightened.add(delta)
+        for scale in (1e150, 1e300, 1e-150):
+            # the same maps, so the same verdict, at 1e-150 too
+            scaled = tuple(tuple(scale * x for x in row) for row in case)
+            assert involution_verdict(perm, scaled) == verdict, (scale, case)
+    assert sampled_involution_check(perm, maps)
+    assert involution_verdict(perm, maps) == "accepted"
+    assert tightened <= TIGHTENED
 
 
 def test_arithmetic_genus_examples():

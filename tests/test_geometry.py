@@ -172,6 +172,24 @@ def test_fd_tiers_are_distinct():
     assert SECOND_DERIVATIVE_FD.order == 4
 
 
+@pytest.mark.parametrize("name,u", [("polar_map", [0.3, 0.7]),
+                                    ("spherical3", [0.3, 0.7, -0.2])])
+def test_callable_checks_use_build_reports_stencils(name, u):
+    # one stencil policy for a callable, so every entry point returns
+    # exactly the values build_report reports
+    source = polar_map if name == "polar_map" \
+        else Solver(gallery.build(name).data).map_batch
+    u = np.array(u)
+    rep = build_report(source, u)
+    assert rotation(source, u).tolist() == rep.rotation
+    res = check_systems(source, u)
+    assert [max(map(abs, eq), default=0.0)
+            for eq in (res.eq1, res.eq2, res.eq4, res.eq5)] \
+        == [rep.eq1_max, rep.eq2_max, rep.eq4_max, rep.eq5_max]
+    assert christoffel_and_riemann(source, u)[1] == rep.riemann_max
+    assert check_immersion(source, u) == rep.immersion_max
+
+
 # Bounds fixed before the first comparison, at about ten times the error
 # of the finite-difference stencils (first derivatives at h = 1e-5,
 # order 2; higher ones at h = 1e-3, order 4). Each order's gap is taken
