@@ -29,9 +29,7 @@ from .errors import (CountMismatch, DegenerateParameters, DivisorMismatch,
 from .gallery import GalleryEntry, build, reference_residual
 from .geometry import (FDConfig, FIRST_DERIVATIVE_FD, GeometryReport, Jet,
                        SECOND_DERIVATIVE_FD, SystemResiduals, build_report,
-                       check_immersion, check_systems,
-                       christoffel_and_riemann, epsilon_invariant, jet, lame,
-                       metric, rotation, rotation_systems)
+                       epsilon_invariant, jet, lame, metric, rotation_systems)
 from .numerics import (INF, FactoredRational, Infinity, RationalDifferential,
                        is_inf, require_finite, same_point)
 

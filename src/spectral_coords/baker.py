@@ -323,14 +323,6 @@ class Solver:
         """h_i(u) from coefficients already solved at the same batch of u."""
         return _psi(us, coeffs, self._h_base, self._h_phase)
 
-    def psi_from(self, us: np.ndarray, coeffs: np.ndarray, points) -> np.ndarray:
-        """psi(u) at the given CurvePoints, shape (m, len(points)), from
-        coefficients already solved at the same batch of u. Raises
-        EssentialSingularity at a phase pole and PoleEvaluation at an
-        ansatz pole."""
-        base, phase = _point_rows(self.data, points, self.offsets)
-        return _psi(us, coeffs, base, phase)
-
     def jet(self, us: np.ndarray, order: int = 3) -> list:
         """x(u) and its exact u-derivatives up to `order` (0 to 3).
 

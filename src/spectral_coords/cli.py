@@ -72,9 +72,9 @@ def _parse_grid(text: str) -> dict:
             raise InputError(f"--grid bounds must be finite, got {part!r}")
         if axis - 1 in out:
             raise InputError(f"--grid gives axis {axis} more than once")
-        out[axis - 1] = np.linspace(lo, hi, count)
         if count < 2:
             raise InputError(f"grid axis {axis} needs at least 2 points")
+        out[axis - 1] = np.linspace(lo, hi, count)
     if not out:
         raise InputError("empty grid spec")
     return out
@@ -268,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if value > bound:
                 breaches.append({"check": name, "u": rep.u,
                                  "value": value, "bound": bound})
-    eps_max = float(np.max(spread)) if len(samples) > 1 else 0.0
+    eps_max = float(np.max(spread))
     worst["epsilon_spread"] = eps_max
     if eps_max > 1e-6:
         breaches.append({"check": "epsilon_spread", "value": eps_max,

@@ -2,11 +2,12 @@
 
 Every check here (metric orthogonality, scale factors, rotation
 coefficients, the curvature equation systems, Christoffel/Riemann, the
-immersion system, and the normalization invariant) is a closed form in the
-map's value and its first three u-derivatives at one point, held in a
-`Jet`. The metric is the Euclidean one, g_ab = sum_k dx^k/du^a dx^k/du^b,
-for which the paper's maps are orthogonal. A function that takes a map
-gets its jet in one of two ways:
+immersion system) is a closed form in the map's value and its first
+three u-derivatives at one point, held in a `Jet`, and `build_report`
+runs them all in one pass over one third-order jet. The metric is the
+Euclidean one, g_ab = sum_k dx^k/du^a dx^k/du^b, for which the paper's
+maps are orthogonal. The entry points that take a map are `jet`,
+`metric` and `build_report`, and each gets its jet in one of two ways:
 
 - a `Solver` gets the exact jet from `Solver.jet`, which differentiates
   the linear system behind the map;
@@ -18,7 +19,8 @@ gets its jet in one of two ways:
   higher one uses SECOND_DERIVATIVE_FD; a Solver ignores both.
 
 Anything else is a TypeError. The Jacobian J[k, a] = dx^k/du^a is
-`jet(source, u, 1).dx.T`.
+`jet(source, u, 1).dx.T`. `epsilon_invariant` checks the normalization
+invariant from scale factors its caller has already measured.
 """
 
 from __future__ import annotations
@@ -174,60 +176,53 @@ def _metric(j: Jet) -> np.ndarray:
 
 def _scale_factors(j: Jet):
     """H_i = sqrt(Re g_ii) with dH[a, i] = dH_i/du^a and
-    d2H[a, b, i], as far as the jet reaches (None beyond)."""
+    d2H[a, b, i] = d^2 H_i/du^a du^b, from a third-order jet."""
     G = np.einsum("ik,ik->i", j.dx, j.dx).real
     if np.any(G <= 0):
         raise NonPositiveDiagonal(
             f"metric diagonal {G.tolist()} at u = {j.u.tolist()}")
     H = np.sqrt(G)
-    dH = d2H = None
-    if j.d2x is not None:
-        dG = 2.0 * np.einsum("aik,ik->ai", j.d2x, j.dx).real
-        dH = dG / (2.0 * H)
-    if j.d3x is not None:
-        d2G = 2.0 * (np.einsum("abik,ik->abi", j.d3x, j.dx)
-                     + np.einsum("aik,bik->abi", j.d2x, j.d2x)).real
-        # G = H^2, so d_ab G = 2 d_a H d_b H + 2 H d_ab H
-        d2H = (d2G - 2.0 * dH[:, None, :] * dH[None, :, :]) / (2.0 * H)
+    dG = 2.0 * np.einsum("aik,ik->ai", j.d2x, j.dx).real
+    dH = dG / (2.0 * H)
+    d2G = 2.0 * (np.einsum("abik,ik->abi", j.d3x, j.dx)
+                 + np.einsum("aik,bik->abi", j.d2x, j.d2x)).real
+    # G = H^2, so d_ab G = 2 d_a H d_b H + 2 H d_ab H
+    d2H = (d2G - 2.0 * dH[:, None, :] * dH[None, :, :]) / (2.0 * H)
     return H, dH, d2H
 
 
-def _rotation(H, dH, d2H=None):
+def _rotation(H, dH, d2H):
     """beta[i, j] = dH_j/du^i / H_i off the diagonal, zero on it, and
-    dbeta[k, i, j] = d beta[i, j] / du^k when d2H is given."""
+    dbeta[k, i, j] = d beta[i, j] / du^k."""
     n = H.size
     diag = np.arange(n)
     beta = dH / H[:, None]
     beta[diag, diag] = 0.0
-    if d2H is None:
-        return beta, None
     dbeta = d2H / H[None, :, None] \
         - dH[:, :, None] * dH[None, :, :] / H[None, :, None] ** 2
     dbeta[:, diag, diag] = 0.0
     return beta, dbeta
 
 
-def _christoffel(H, dH, d2H=None):
+def _christoffel(H, dH, d2H):
     """Gamma[k, i, j] of the diagonal metric diag(H^2), and
-    dGamma[c, k, i, j] = d Gamma[k, i, j] / du^c when d2H is given."""
+    dGamma[c, k, i, j] = d Gamma[k, i, j] / du^c."""
     n = H.size
     gamma = np.zeros((n, n, n))
-    dgamma = None if d2H is None else np.zeros((n, n, n, n))
+    dgamma = np.zeros((n, n, n, n))
     for k in range(n):
         gamma[k, k, :] = dH[:, k] / H[k]
         gamma[k, :, k] = gamma[k, k, :]
-        if dgamma is not None:
-            dgamma[:, k, k, :] = d2H[:, :, k] / H[k] \
-                - np.outer(dH[:, k], dH[:, k]) / H[k] ** 2
-            dgamma[:, k, :, k] = dgamma[:, k, k, :]
+        dgamma[:, k, k, :] = d2H[:, :, k] / H[k] \
+            - np.outer(dH[:, k], dH[:, k]) / H[k] ** 2
+        dgamma[:, k, :, k] = dgamma[:, k, k, :]
         for i in range(n):
             if i == k:
                 continue
             gamma[k, i, i] = -H[i] * dH[k, i] / H[k] ** 2
-            if dgamma is not None:
-                dgamma[:, k, i, i] = \
-                    -(dH[:, i] * dH[k, i] + H[i] * d2H[:, k, i]) / H[k] ** 2 \
-                    + 2.0 * H[i] * dH[k, i] * dH[:, k] / H[k] ** 3
+            dgamma[:, k, i, i] = \
+                -(dH[:, i] * dH[k, i] + H[i] * d2H[:, k, i]) / H[k] ** 2 \
+                + 2.0 * H[i] * dH[k, i] * dH[:, k] / H[k] ** 3
     return gamma, dgamma
 
 
@@ -264,7 +259,9 @@ class SystemResiduals:
         return max((abs(v) for v in values), default=0.0)
 
 
-def _systems(H, dH, d2H) -> SystemResiduals:
+def _systems(H, dH, d2H, beta, dbeta) -> SystemResiduals:
+    """The four systems from the scale factors and their derivatives,
+    with beta and dbeta = _rotation(H, dH, d2H)."""
     n = H.size
     out = SystemResiduals()
 
@@ -283,7 +280,7 @@ def _systems(H, dH, d2H) -> SystemResiduals:
                 term += dH[k, i] * dH[k, j] / H[k] ** 2
         out.eq2.append(float(term))
 
-    out.eq4, out.eq5 = rotation_systems(*_rotation(H, dH, d2H))
+    out.eq4, out.eq5 = rotation_systems(beta, dbeta)
     return out
 
 
@@ -333,33 +330,6 @@ def lame(g) -> np.ndarray:
     return np.sqrt(diag)
 
 
-def rotation(source, u) -> np.ndarray:
-    H, dH, _ = _scale_factors(jet(source, u, 2))
-    return _rotation(H, dH)[0]
-
-
-def check_systems(source, u) -> SystemResiduals:
-    """Residuals of the curvature equations for the scale factors (the
-    second-derivative pair) and the rotation-coefficient form of the same
-    conditions (first-derivative pair)."""
-    return _systems(*_scale_factors(jet(source, u, 3)))
-
-
-def christoffel_and_riemann(source, u):
-    """Christoffel symbols at u and the max |R^a_{b c d}| of the curvature
-    tensor assembled from the symbols and their derivatives."""
-    gamma, dgamma = _christoffel(*_scale_factors(jet(source, u, 3)))
-    return gamma, _riemann_max(gamma, dgamma)
-
-
-def check_immersion(source, u) -> float:
-    """Max residual of the linear immersion system relating second
-    derivatives of x to Christoffel symbols."""
-    j = jet(source, u, 2)
-    H, dH, _ = _scale_factors(j)
-    return _immersion_max(j, _christoffel(H, dH)[0])
-
-
 def epsilon_invariant(solver: Solver, u_samples, H) -> np.ndarray:
     """Relative spread of eta0^2 H_i^2 / h_i^2 across the samples.
 
@@ -403,8 +373,8 @@ def build_report(source, u,
     g = _metric(j).real
     off = g - np.diag(np.diagonal(g))
     H, dH, d2H = _scale_factors(j)
-    beta, _ = _rotation(H, dH)
-    systems = _systems(H, dH, d2H)
+    beta, dbeta = _rotation(H, dH, d2H)
+    systems = _systems(H, dH, d2H, beta, dbeta)
     gamma, dgamma = _christoffel(H, dH, d2H)
 
     def fmax(vals):

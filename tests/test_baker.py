@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords.baker import _SOLVE_BLOCK, CONDITION_LIMIT, Solver
+from spectral_coords.baker import (_SOLVE_BLOCK, CONDITION_LIMIT, Solver,
+                                   _point_rows, _psi)
 from spectral_coords.curve import (ComponentAnsatz, CurvePoint, EssentialTerm,
                                    Normalization, SpectralData)
 from spectral_coords.errors import EssentialSingularity, SingularSystem
@@ -13,6 +14,11 @@ from spectral_coords.numerics import INF, FactoredRational
 rng = np.random.default_rng(20240813)
 
 ALL_NAMES = sorted(gallery.BUILDERS)
+
+
+def psi_at(solver, us, coeffs, points):
+    """psi(u) at the given curve points, shape (m, len(points))."""
+    return _psi(us, coeffs, *_point_rows(solver.data, points, solver.offsets))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -49,7 +55,7 @@ def test_gluing_rows_enforce_branch_equality():
     solver = Solver(data)
     coeffs, _, _ = solver.solve_batch(u)
     for g in data.gluings:
-        vals = solver.psi_from(u, coeffs, g.points)[0]
+        vals = psi_at(solver, u, coeffs, g.points)[0]
         spread = max(abs(v - vals[0]) for v in vals)
         assert spread < 1e-10
 
@@ -63,7 +69,7 @@ def test_eval_psi_at_growth_points_matches_map():
     for j, cp in enumerate(data.Q):
         if cp.point is INF:
             continue  # essential singularity there, covered by map itself
-        assert solver.psi_from(u, coeffs, [cp])[0, 0] == pytest.approx(
+        assert psi_at(solver, u, coeffs, [cp])[0, 0] == pytest.approx(
             x[j], abs=1e-12)
 
 
@@ -73,7 +79,7 @@ def test_normalization_is_reproduced_pointwise():
     solver = Solver(data)
     coeffs, _, _ = solver.solve_batch(u)
     for nm in data.normalizations:
-        assert solver.psi_from(u, coeffs, [nm.point])[0, 0] == pytest.approx(
+        assert psi_at(solver, u, coeffs, [nm.point])[0, 0] == pytest.approx(
             nm.value, abs=1e-10)
 
 
@@ -116,7 +122,7 @@ def test_psi_refuses_phase_pole_at_marker():
     coeffs, _, _ = solver.solve_batch(u)
     for cp in data.P_markers:
         with pytest.raises(EssentialSingularity):
-            solver.psi_from(u, coeffs, [cp])
+            psi_at(solver, u, coeffs, [cp])
 
 
 def test_degenerate_normalizations_raise_singular_system():

@@ -393,6 +393,15 @@ def test_grid_spec_errors(polar_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", ["-1", "0", "1"])
+def test_grid_count_below_two_is_refused_before_linspace(polar_file, capsys,
+                                                         count):
+    code, out, err = run(capsys, "grid", polar_file,
+                         "--grid", f"1:0:1:{count}")
+    assert (code, out) == (2, "")
+    assert err == "error: grid axis 1 needs at least 2 points\n"
+
+
 @pytest.mark.parametrize("command", ["grid", "verify", "dress"])
 def test_repeated_grid_axis_is_refused(polar_file, tmp_path, capsys, command):
     # a repeated axis used to keep its last segment without a word
@@ -488,3 +497,32 @@ def test_module_entry_point(polar_file):
     result = json.loads(proc.stdout)
     assert result["x"][0][0] == pytest.approx(1.0, abs=1e-10)
     assert result["x"][1][0] == pytest.approx(0.0, abs=1e-10)
+
+
+# Every public name of the package, so that removing or adding one is a
+# visible edit here.
+PUBLIC_NAMES = [
+    "ComponentAnsatz", "CountMismatch", "CountingReport", "CurvePoint",
+    "DegenerateParameters", "DivisorMismatch", "EssentialSingularity",
+    "EssentialTerm", "FDConfig", "FIRST_DERIVATIVE_FD", "Factor",
+    "FactoredRational", "GalleryEntry", "GeometryReport", "Gluing", "Grid",
+    "INF", "IncompatibleField", "Infinity", "InputError", "InvolutionSpec",
+    "Jet", "KernelSpec", "LameResult", "MarchenkoSolution", "Mismatch",
+    "NoIsolation", "NonPositive", "NonPositiveDiagonal", "Normalization",
+    "NotInvolution", "PNotFixed", "PhiEntry", "PoleEvaluation",
+    "RationalDifferential", "RegularityReport", "SECOND_DERIVATIVE_FD",
+    "SingularFredholm", "SingularSystem", "Solver", "SpectralData",
+    "SpectralError", "StencilFailure", "SystemResiduals", "TailTooFat",
+    "arithmetic_genus", "baker", "build", "build_F", "build_report",
+    "check_F_equations", "check_Q_residues", "check_beta_systems",
+    "check_involution", "check_regular", "curve", "dressing",
+    "epsilon_invariant", "errors", "gallery", "geometry", "is_inf", "jet",
+    "lame", "lame_from_rotation", "metric", "numerics", "reference_residual",
+    "require_finite", "rotation_from_dressing", "rotation_systems",
+    "same_curve_point", "same_point", "solve_marchenko",
+    "solve_marchenko_kernel", "validate_counting",
+]
+
+
+def test_public_surface_is_pinned():
+    assert spectral_coords.__all__ == sorted(PUBLIC_NAMES) == PUBLIC_NAMES

@@ -8,13 +8,13 @@ import spectral_coords.gallery as gallery
 from spectral_coords.baker import Solver
 from spectral_coords.curve import (ComponentAnsatz, CurvePoint, EssentialTerm,
                                    Normalization, SpectralData)
-from spectral_coords.errors import NonPositiveDiagonal, SingularSystem
+from spectral_coords.errors import (NonPositiveDiagonal, SingularSystem,
+                                    SpectralError, StencilFailure)
 from spectral_coords.geometry import (FIRST_DERIVATIVE_FD,
-                                      SECOND_DERIVATIVE_FD, build_report,
-                                      check_immersion, check_systems,
-                                      christoffel_and_riemann,
-                                      epsilon_invariant, jet, lame, metric,
-                                      rotation)
+                                      SECOND_DERIVATIVE_FD, _christoffel,
+                                      _rotation, _scale_factors, _systems,
+                                      build_report, epsilon_invariant, jet,
+                                      lame, metric)
 from spectral_coords.numerics import INF, FactoredRational
 
 rng = np.random.default_rng(20240814)
@@ -28,6 +28,12 @@ def polar_map(us):
 
 def polar_solver():
     return Solver(gallery.build("polar").data)
+
+
+def systems(source, u):
+    """Per-entry residuals of the four systems, as build_report sees them."""
+    H, dH, d2H = _scale_factors(jet(source, u, 3))
+    return _systems(H, dH, d2H, *_rotation(H, dH, d2H))
 
 
 def test_jacobian_of_plain_callable():
@@ -77,19 +83,19 @@ def test_rotation_closed_form():
     # both scale factors are e^{u1}, so the only nonzero coefficient is
     # the (1,2) one and it equals 1
     u = np.array([0.25, -0.4])
-    beta = rotation(polar_solver(), u)
+    beta = np.array(build_report(polar_solver(), u).rotation)
     assert beta[0, 1] == pytest.approx(1.0, abs=1e-6)
     assert abs(beta[1, 0]) < 1e-6
     assert abs(beta[0, 0]) < 1e-6 and abs(beta[1, 1]) < 1e-6
 
 
 def test_system_families_by_dimension():
-    res2 = check_systems(polar_solver(), np.array([0.1, 0.2]))
+    res2 = systems(polar_solver(), np.array([0.1, 0.2]))
     assert res2.eq1 == [] and res2.eq4 == []
     assert len(res2.eq2) == 1 and len(res2.eq5) == 1
 
-    res3 = check_systems(Solver(gallery.build("spherical3").data),
-                         np.array([0.1, -0.1, 0.2]))
+    res3 = systems(Solver(gallery.build("spherical3").data),
+                   np.array([0.1, -0.1, 0.2]))
     assert len(res3.eq1) == 3
     assert len(res3.eq2) == 3
     assert len(res3.eq4) == 6
@@ -101,13 +107,12 @@ def test_flat_metrics_have_vanishing_curvature():
     for name in ("euclidean2", "polar", "example2"):
         solver = Solver(gallery.build(name).data)
         u = rng.uniform(-0.3, 0.3, size=solver.data.n)
-        _, riemann_max = christoffel_and_riemann(solver, u)
-        assert riemann_max < 1e-5, name
+        assert build_report(solver, u).riemann_max < 1e-5, name
 
 
 def test_christoffel_closed_form_for_conformal_factor():
     u = np.array([0.2, 0.5])
-    gamma, _ = christoffel_and_riemann(polar_solver(), u)
+    gamma, _ = _christoffel(*_scale_factors(jet(polar_solver(), u, 3)))
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
     expected[0, 1, 1] = -1.0
@@ -119,7 +124,7 @@ def test_immersion_system_closes():
     for name in ("polar", "example3"):
         solver = Solver(gallery.build(name).data)
         u = rng.uniform(-0.3, 0.3, size=solver.data.n)
-        assert check_immersion(solver, u) < 1e-6, name
+        assert build_report(solver, u).immersion_max < 1e-6, name
 
 
 def test_epsilon_ratio_is_parameter_independent():
@@ -170,24 +175,6 @@ def test_fd_tiers_are_distinct():
     assert FIRST_DERIVATIVE_FD.h < SECOND_DERIVATIVE_FD.h
     assert FIRST_DERIVATIVE_FD.order == 2
     assert SECOND_DERIVATIVE_FD.order == 4
-
-
-@pytest.mark.parametrize("name,u", [("polar_map", [0.3, 0.7]),
-                                    ("spherical3", [0.3, 0.7, -0.2])])
-def test_callable_checks_use_build_reports_stencils(name, u):
-    # one stencil policy for a callable, so every entry point returns
-    # exactly the values build_report reports
-    source = polar_map if name == "polar_map" \
-        else Solver(gallery.build(name).data).map_batch
-    u = np.array(u)
-    rep = build_report(source, u)
-    assert rotation(source, u).tolist() == rep.rotation
-    res = check_systems(source, u)
-    assert [max(map(abs, eq), default=0.0)
-            for eq in (res.eq1, res.eq2, res.eq4, res.eq5)] \
-        == [rep.eq1_max, rep.eq2_max, rep.eq4_max, rep.eq5_max]
-    assert christoffel_and_riemann(source, u)[1] == rep.riemann_max
-    assert check_immersion(source, u) == rep.immersion_max
 
 
 # Bounds fixed before the first comparison, at about ten times the error
@@ -269,7 +256,28 @@ def test_exact_path_raises_nonpositive_diagonal():
         for nm in data.normalizations))
     solver = Solver(data)
     u = np.array([0.1, np.pi / 2])
-    for check in (rotation, check_systems, christoffel_and_riemann,
-                  check_immersion, build_report):
-        with pytest.raises(NonPositiveDiagonal):
-            check(solver, u)
+    with pytest.raises(NonPositiveDiagonal):
+        build_report(solver, u)
+    with pytest.raises(NonPositiveDiagonal):
+        lame(metric(solver, u)[0])
+
+
+def test_stencil_wraps_a_failing_callable():
+    def broken(points):
+        raise ValueError("no map here")
+    with pytest.raises(StencilFailure, match="no map here"):
+        build_report(broken, np.array([0.3, 0.7]))
+
+
+def test_stencil_refuses_a_wrongly_shaped_callable():
+    with pytest.raises(StencilFailure, match="shape"):
+        build_report(lambda points: polar_map(points)[:, :1],
+                     np.array([0.3, 0.7]))
+
+
+def test_stencil_passes_spectral_errors_through():
+    # a SpectralError from the map keeps its own class (and exit code)
+    source = Solver(_singular_data()).map_batch
+    with pytest.raises(SpectralError) as info:
+        build_report(source, np.zeros(1))
+    assert type(info.value) is SingularSystem
