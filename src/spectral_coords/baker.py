@@ -25,9 +25,12 @@ it bounds the 2-norm condition number from above (Higham, "Accuracy and
 Stability of Numerical Algorithms", sec. 6). The rows left over go
 to np.linalg.cond, and the worst of them past CONDITION_LIMIT raises
 SingularSystem, so the refusals are those of an SVD of every row. An
-A(u) whose exp(phase . u) overflows is refused too. `solve_batch`
-returns the coefficients, the exact 2-norm condition numbers and the
-residuals |A c - b|; `map_batch` and `h_batch` compute neither.
+A(u) whose exp(phase . u) overflows is refused too.
+
+The coefficients c(u) never leave a Solver: `solve_batch` returns the map
+x(u), the leading coefficients h_i(u), the exact 2-norm condition numbers
+and the residuals |A c - b|; `map_batch` and `h_batch` return only x or
+only the h_i, and compute no conditions or residuals.
 """
 
 from __future__ import annotations
@@ -294,34 +297,27 @@ class Solver:
         return coeffs, inv
 
     def solve_batch(self, us: np.ndarray):
-        """Coefficients, 2-norm condition numbers of A(u) and residual
-        norms |A c - b| for a batch of u."""
+        """x(u), h_i(u), 2-norm condition numbers of A(u) and residual
+        norms |A c - b| for a batch of u, all from one factorization."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
         coeffs, _ = self._factor(us)
         A = self.matrices(us)
-        cond = np.linalg.cond(A)
         b = np.broadcast_to(self.rhs, (us.shape[0], self.size))
         resid = np.linalg.norm(
             np.einsum("mij,mj->mi", A, coeffs) - b, axis=1)
-        return coeffs, cond, resid
+        return (_psi(us, coeffs, self._q_base, self._q_phase),
+                _psi(us, coeffs, self._h_base, self._h_phase),
+                np.linalg.cond(A), resid)
 
     def map_batch(self, us: np.ndarray) -> np.ndarray:
         """Coordinates x(u) for a batch of u, shape (m, n), complex."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        return self.map_from(us, self._factor(us)[0])
+        return _psi(us, self._factor(us)[0], self._q_base, self._q_phase)
 
     def h_batch(self, us: np.ndarray) -> np.ndarray:
         """Leading coefficients h_i(u) for a batch of u, shape (m, n)."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        return self.h_from(us, self._factor(us)[0])
-
-    def map_from(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """x(u) from coefficients already solved at the same batch of u."""
-        return _psi(us, coeffs, self._q_base, self._q_phase)
-
-    def h_from(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """h_i(u) from coefficients already solved at the same batch of u."""
-        return _psi(us, coeffs, self._h_base, self._h_phase)
+        return _psi(us, self._factor(us)[0], self._h_base, self._h_phase)
 
     def jet(self, us: np.ndarray, order: int = 3) -> list:
         """x(u) and its exact u-derivatives up to `order` (0 to 3).

@@ -27,6 +27,7 @@ from .curve import (SpectralData, check_involution, check_Q_residues,
                     check_regular, validate_counting)
 from .errors import (InputError, SingularFredholm, SingularSystem,
                      SpectralError, TailTooFat)
+from .numerics import complex_to_json
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -208,23 +209,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if len(u) != data.n:
         raise InputError(f"--u needs {data.n} components")
     solver = baker.Solver(data)
-    point = u[None, :]
-    coeffs, cond, resid = solver.solve_batch(point)
-    x = solver.map_from(point, coeffs)[0]
-    h = solver.h_from(point, coeffs)[0]
+    x, h, cond, resid = (v[0] for v in solver.solve_batch(u[None, :]))
     source, fd_first = _geometry_source(args, solver)
     g, _g_imag = geometry.metric(source, u, fd_first)
     H = geometry.lame(g)
     _emit(_dump({
         "u": [float(v) for v in u],
-        "x": [[float(v.real), float(v.imag)] for v in x],
+        "x": [complex_to_json(v) for v in x],
         "imag_max": float(np.max(np.abs(x.imag))),
         "H": [float(v) for v in H],
-        "h": [[float(v.real), float(v.imag)] for v in h],
-        "diagnostics": {
-            "condition": float(cond[0]),
-            "residual": float(resid[0]),
-        },
+        "h": [complex_to_json(v) for v in h],
+        "diagnostics": {"condition": float(cond), "residual": float(resid)},
     }), args.out)
     return EXIT_OK
 
@@ -245,11 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     spread = geometry.epsilon_invariant(solver, samples,
                                         [rep.lame for rep in reports])
-    breaches = []
-    worst = {
-        "reality": 0.0, "orthogonality": 0.0, "eq1": 0.0, "eq2": 0.0,
-        "eq4": 0.0, "eq5": 0.0, "riemann": 0.0, "immersion": 0.0,
-    }
+    breaches, worst = [], {}
     for rep in reports:
         x_scale = 1.0 + max(abs(v[0]) for v in rep.x)
         h_scale = 1.0 + max(rep.lame) ** 2
@@ -264,7 +255,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "immersion": (rep.immersion_max, tol * x_scale),
         }
         for name, (value, bound) in gates.items():
-            worst[name] = max(worst[name], value)
+            worst[name] = max(worst.get(name, 0.0), value)
             if value > bound:
                 breaches.append({"check": name, "u": rep.u,
                                  "value": value, "bound": bound})

@@ -35,6 +35,7 @@ from .baker import Solver
 from .curve import check_Q_residues
 from .errors import (InputError, NonPositiveDiagonal, SpectralError,
                      StencilFailure)
+from .numerics import complex_to_json
 
 # central-difference weights per derivative order and accuracy order,
 # keyed by offset in steps
@@ -382,7 +383,7 @@ def build_report(source, u,
 
     return GeometryReport(
         u=j.u.tolist(),
-        x=[[float(v.real), float(v.imag)] for v in j.x],
+        x=[complex_to_json(v) for v in j.x],
         imag_max=float(np.max(np.abs(j.x.imag))),
         g_offdiag_max=float(np.max(np.abs(off))),
         lame=H.tolist(),

@@ -260,7 +260,7 @@ def _series_residue(f: FactoredRational, p: complex) -> complex:
     m = -f.order_at(p)
     if m <= 0:
         return 0j
-    coeffs = [f.scale] + [0j] * (m - 1)
+    product = [f.scale] + [0j] * (m - 1)
     for r, k in f.factors:
         if same_point(r, p):
             continue
@@ -270,6 +270,6 @@ def _series_residue(f: FactoredRational, p: complex) -> complex:
         series = [d ** k]
         for j in range(1, m):
             series.append(series[-1] * (k - j + 1) / (j * d))
-        coeffs = [sum(coeffs[i] * series[n - i] for i in range(n + 1))
-                  for n in range(m)]
-    return coeffs[-1]
+        product = [sum(product[i] * series[n - i] for i in range(n + 1))
+                   for n in range(m)]
+    return product[-1]

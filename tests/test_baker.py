@@ -21,6 +21,11 @@ def psi_at(solver, us, coeffs, points):
     return _psi(us, coeffs, *_point_rows(solver.data, points, solver.offsets))
 
 
+def coefficients(solver, us):
+    """The solved c(u), which no public Solver method returns."""
+    return solver._factor(np.atleast_2d(np.asarray(us, dtype=float)))[0]
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_engine_matches_reference_map(name):
     entry = gallery.build(name)
@@ -53,7 +58,7 @@ def test_gluing_rows_enforce_branch_equality():
     data = gallery.build("example3").data
     u = rng.uniform(-0.4, 0.4, size=(1, data.n))
     solver = Solver(data)
-    coeffs, _, _ = solver.solve_batch(u)
+    coeffs = coefficients(solver, u)
     for g in data.gluings:
         vals = psi_at(solver, u, coeffs, g.points)[0]
         spread = max(abs(v - vals[0]) for v in vals)
@@ -64,8 +69,8 @@ def test_eval_psi_at_growth_points_matches_map():
     data = gallery.build("example2").data
     u = rng.uniform(-0.4, 0.4, size=(1, data.n))
     solver = Solver(data)
-    coeffs, _, _ = solver.solve_batch(u)
-    x = solver.map_from(u, coeffs)[0]
+    coeffs = coefficients(solver, u)
+    x = solver.map_batch(u)[0]
     for j, cp in enumerate(data.Q):
         if cp.point is INF:
             continue  # essential singularity there, covered by map itself
@@ -77,7 +82,7 @@ def test_normalization_is_reproduced_pointwise():
     data = gallery.build("polar").data
     u = rng.uniform(-0.4, 0.4, size=(1, data.n))
     solver = Solver(data)
-    coeffs, _, _ = solver.solve_batch(u)
+    coeffs = coefficients(solver, u)
     for nm in data.normalizations:
         assert psi_at(solver, u, coeffs, [nm.point])[0, 0] == pytest.approx(
             nm.value, abs=1e-10)
@@ -87,9 +92,8 @@ def test_leading_coefficients_for_disjoint_components():
     entry = gallery.build("euclidean3")
     u = np.array([[0.3, -0.2, 0.7]])
     solver = Solver(entry.data)
-    coeffs, cond, resid = solver.solve_batch(u)
-    lead = solver.h_from(u, coeffs)[0]
-    assert np.allclose(lead, np.exp(u[0]), atol=1e-12)
+    _, lead, cond, resid = solver.solve_batch(u)
+    assert np.allclose(lead[0], np.exp(u[0]), atol=1e-12)
     assert resid[0] < 1e-12
     assert np.isfinite(cond[0])
 
@@ -98,11 +102,13 @@ def test_h_values_use_the_given_coefficients():
     data = gallery.build("example1").data
     u = rng.uniform(-0.4, 0.4, size=(1, data.n))
     solver = Solver(data)
-    coeffs, _, _ = solver.solve_batch(u)
-    assert np.allclose(solver.h_from(u, coeffs), Solver(data).h_batch(u),
-                       atol=1e-13)
-    assert np.allclose(solver.h_from(u, 2.0 * coeffs),
-                       2.0 * solver.h_from(u, coeffs), atol=1e-13)
+    coeffs = coefficients(solver, u)
+
+    def h_of(c):
+        return _psi(u, c, solver._h_base, solver._h_phase)
+
+    assert np.allclose(h_of(coeffs), Solver(data).h_batch(u), atol=1e-13)
+    assert np.allclose(h_of(2.0 * coeffs), 2.0 * h_of(coeffs), atol=1e-13)
 
 
 def test_batch_agrees_with_single_solves():
@@ -119,7 +125,7 @@ def test_psi_refuses_phase_pole_at_marker():
     data = gallery.build("polar").data
     solver = Solver(data)
     u = np.array([[0.3, 1.0]])
-    coeffs, _, _ = solver.solve_batch(u)
+    coeffs = coefficients(solver, u)
     for cp in data.P_markers:
         with pytest.raises(EssentialSingularity):
             psi_at(solver, u, coeffs, [cp])
@@ -145,11 +151,19 @@ def test_degenerate_normalizations_raise_singular_system():
 def test_coefficient_block_layout():
     data = gallery.build("example1").data
     solver = Solver(data)
-    coeffs, _, _ = solver.solve_batch(np.zeros(data.n))
+    coeffs = coefficients(solver, np.zeros(data.n))
     assert solver.offsets[-1] == solver.size == coeffs.shape[-1]
     # one block per component: the constant, then one entry per pole
     assert np.diff(solver.offsets).tolist() == [
         1 + len(comp.poles) for comp in data.ansatz]
+
+
+def test_solver_public_methods_are_pinned():
+    # the coefficients stay inside: no public method takes or returns c
+    public = sorted(k for k, v in vars(Solver).items()
+                    if callable(v) and not k.startswith("_"))
+    assert public == ["h_batch", "jet", "map_batch", "matrices",
+                      "solve_batch"]
 
 
 def _gate_by_svd(solver, us):
@@ -194,7 +208,7 @@ def test_screen_refuses_exactly_what_an_svd_of_every_row_refuses():
                     continue
                 assert np.array_equal(solver._factor(us)[0], coeffs)
                 if rows < 2500:
-                    assert np.array_equal(solver.solve_batch(us)[1], cond)
+                    assert np.array_equal(solver.solve_batch(us)[2], cond)
     assert sum(map(len, refusals.values())) == 104
 
 
@@ -217,11 +231,24 @@ def test_badly_scaled_refusals_keep_their_messages(name, u, message):
 def test_solve_batch_reports_the_svd_condition_and_residual():
     solver = Solver(gallery.build("spherical3").data)
     us = rng.uniform(-0.5, 0.5, size=(5, 3))
-    coeffs, cond, resid = solver.solve_batch(us)
+    _, _, cond, resid = solver.solve_batch(us)
     A = solver.matrices(us)
     assert np.array_equal(cond, np.linalg.cond(A))
     assert np.array_equal(resid, np.linalg.norm(
-        np.einsum("mij,mj->mi", A, coeffs) - solver.rhs, axis=1))
+        np.einsum("mij,mj->mi", A, coefficients(solver, us)) - solver.rhs,
+        axis=1))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_solve_batch_map_and_h_equal_map_batch_and_h_batch(name):
+    # one _factor and _psi path behind all three, so bit for bit
+    solver = Solver(gallery.build(name).data)
+    us = np.random.default_rng(sum(map(ord, name))).uniform(
+        -0.5, 0.5, size=(3, solver.data.n))
+    x, h, _, _ = solver.solve_batch(us)
+    assert np.array_equal(x, solver.map_batch(us))
+    assert np.array_equal(h, solver.h_batch(us))
+    assert x.shape == h.shape == (3, solver.data.n)
 
 
 def test_map_batch_blocks_are_independent():

@@ -138,6 +138,20 @@ def test_solve_singular_system_exit_code(tmp_path, capsys):
     assert "condition" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--u", "0.1,0.2"), ("grid", "--grid", "1:0:1:3"), ("verify",),
+])
+def test_non_square_config_is_refused(tmp_path, capsys, argv):
+    blob = gallery.build("euclidean2").data.to_json()
+    blob["normalizations"].pop()
+    path = tmp_path / "non-square.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: 2 unknowns vs 1 equations\n"
+
+
 def test_grid_refuses_an_overflowing_exponent(polar_file, capsys):
     # exp(phase . u) overflows at u1 = -800; it used to leak two
     # RuntimeWarnings and report "condition estimate nan"
