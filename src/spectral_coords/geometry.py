@@ -21,6 +21,11 @@ maps are orthogonal. The entry points that take a map are `jet`,
 Anything else is a TypeError. The Jacobian J[k, a] = dx^k/du^a is
 `jet(source, u, 1).dx.T`. `epsilon_invariant` checks the normalization
 invariant from scale factors its caller has already measured.
+
+The four curvature systems all come from the rotation coefficients
+beta_ij = d_i H_j / H_i (`_systems`), so eq2 equals eq5 by
+construction; Riemann and the immersion system, from the Christoffel
+symbols, check the same flatness independently.
 """
 
 from __future__ import annotations
@@ -175,10 +180,10 @@ def _metric(j: Jet) -> np.ndarray:
     return np.einsum("ak,bk->ab", j.dx, j.dx)
 
 
-def _scale_factors(j: Jet):
-    """H_i = sqrt(Re g_ii) with dH[a, i] = dH_i/du^a and
-    d2H[a, b, i] = d^2 H_i/du^a du^b, from a third-order jet."""
-    G = np.einsum("ik,ik->i", j.dx, j.dx).real
+def _scale_factors(j: Jet, g):
+    """H_i = sqrt(g_ii) from the real metric g of the third-order jet j,
+    with dH[a, i] = dH_i/du^a and d2H[a, b, i] = d^2 H_i/du^a du^b."""
+    G = np.diagonal(g)
     if np.any(G <= 0):
         raise NonPositiveDiagonal(
             f"metric diagonal {G.tolist()} at u = {j.u.tolist()}")
@@ -247,7 +252,8 @@ class SystemResiduals:
     """Residuals of the four scale-factor/rotation systems at one point.
 
     Each list holds one entry per index combination; for n = 2 the
-    triple-index families are genuinely empty rather than zero.
+    triple-index families are genuinely empty rather than zero. eq2
+    equals eq5 by construction (see `_systems`).
     """
 
     eq1: list = field(default_factory=list)
@@ -260,29 +266,20 @@ class SystemResiduals:
         return max((abs(v) for v in values), default=0.0)
 
 
-def _systems(H, dH, d2H, beta, dbeta) -> SystemResiduals:
-    """The four systems from the scale factors and their derivatives,
-    with beta and dbeta = _rotation(H, dH, d2H)."""
-    n = H.size
-    out = SystemResiduals()
+def _systems(H, beta, dbeta) -> SystemResiduals:
+    """The four systems from H and beta, dbeta = _rotation(H, dH, d2H).
 
-    for i, j, k in itertools.combinations(range(n), 3):
+    eq1 (Lame) and eq2 are the scale-factor systems rewritten through
+    beta_ij = d_i H_j / H_i: each eq1 entry is an eq4 entry times H_j,
+    H_j (d_k beta_ji - beta_jk beta_ki), and eq2 equals eq5 by
+    construction."""
+    eq1 = []
+    for i, j, k in itertools.combinations(range(H.size), 3):
         for ii, jj, kk in ((i, j, k), (j, i, k), (k, i, j)):
-            lhs = d2H[jj, kk, ii]
-            rhs = (dH[kk, jj] / H[jj]) * dH[jj, ii] \
-                + (dH[jj, kk] / H[kk]) * dH[kk, ii]
-            out.eq1.append(float(lhs - rhs))
-
-    for i, j in itertools.combinations(range(n), 2):
-        term = d2H[j, j, i] / H[j] - dH[j, i] * dH[j, j] / H[j] ** 2
-        term += d2H[i, i, j] / H[i] - dH[i, j] * dH[i, i] / H[i] ** 2
-        for k in range(n):
-            if k != i and k != j:
-                term += dH[k, i] * dH[k, j] / H[k] ** 2
-        out.eq2.append(float(term))
-
-    out.eq4, out.eq5 = rotation_systems(beta, dbeta)
-    return out
+            eq1.append(float(H[jj] * (dbeta[kk, jj, ii]
+                                      - beta[jj, kk] * beta[kk, ii])))
+    eq4, eq5 = rotation_systems(beta, dbeta)
+    return SystemResiduals(eq1=eq1, eq2=list(eq5), eq4=eq4, eq5=eq5)
 
 
 def rotation_systems(beta, dbeta):
@@ -373,9 +370,9 @@ def build_report(source, u,
     j = jet(source, u, 3, fd_first)
     g = _metric(j).real
     off = g - np.diag(np.diagonal(g))
-    H, dH, d2H = _scale_factors(j)
+    H, dH, d2H = _scale_factors(j, g)
     beta, dbeta = _rotation(H, dH, d2H)
-    systems = _systems(H, dH, d2H, beta, dbeta)
+    systems = _systems(H, beta, dbeta)
     gamma, dgamma = _christoffel(H, dH, d2H)
 
     def fmax(vals):

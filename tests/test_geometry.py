@@ -12,9 +12,9 @@ from spectral_coords.errors import (NonPositiveDiagonal, SingularSystem,
                                     SpectralError, StencilFailure)
 from spectral_coords.geometry import (FIRST_DERIVATIVE_FD,
                                       SECOND_DERIVATIVE_FD, _christoffel,
-                                      _rotation, _scale_factors, _systems,
-                                      build_report, epsilon_invariant, jet,
-                                      lame, metric)
+                                      _metric, _rotation, _scale_factors,
+                                      _systems, build_report,
+                                      epsilon_invariant, jet, lame, metric)
 from spectral_coords.numerics import INF, FactoredRational
 
 rng = np.random.default_rng(20240814)
@@ -30,10 +30,16 @@ def polar_solver():
     return Solver(gallery.build("polar").data)
 
 
+def scale_factors(source, u):
+    """H, dH and d2H from the third-order jet, as build_report sees them."""
+    j = jet(source, u, 3)
+    return _scale_factors(j, _metric(j).real)
+
+
 def systems(source, u):
     """Per-entry residuals of the four systems, as build_report sees them."""
-    H, dH, d2H = _scale_factors(jet(source, u, 3))
-    return _systems(H, dH, d2H, *_rotation(H, dH, d2H))
+    H, dH, d2H = scale_factors(source, u)
+    return _systems(H, *_rotation(H, dH, d2H))
 
 
 def test_jacobian_of_plain_callable():
@@ -112,7 +118,7 @@ def test_flat_metrics_have_vanishing_curvature():
 
 def test_christoffel_closed_form_for_conformal_factor():
     u = np.array([0.2, 0.5])
-    gamma, _ = _christoffel(*_scale_factors(jet(polar_solver(), u, 3)))
+    gamma, _ = _christoffel(*scale_factors(polar_solver(), u))
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 1.0
     expected[0, 1, 1] = -1.0
@@ -125,6 +131,49 @@ def test_immersion_system_closes():
         solver = Solver(gallery.build(name).data)
         u = rng.uniform(-0.3, 0.3, size=solver.data.n)
         assert build_report(solver, u).immersion_max < 1e-6, name
+
+
+def skewed_map(us):
+    # a polynomial map whose coordinate lines are not orthogonal
+    u1, u2, u3 = np.asarray(us, dtype=float).T
+    return np.stack([u1 + 0.3 * u2 ** 2, u2 + 0.2 * u1 * u3,
+                     u3 + 0.1 * u1 ** 2 + 0.05 * u2 * u3], axis=1)
+
+
+@pytest.mark.parametrize("u", [[0.1, 0.2, 0.3], [-0.3, 0.4, 0.1],
+                               [0.5, -0.2, -0.4]])
+def test_flatness_gates_fire_on_a_non_orthogonal_map(u):
+    # diag(H^2) of this map is not flat, so every residual reads far
+    # above the roundoff of the FD jet of this quadratic map (eq2 ~ 0.079,
+    # eq1 ~ 6e-4 here)
+    u = np.array(u)
+    rep = build_report(skewed_map, u)
+    for name in ("g_offdiag_max", "eq1_max", "eq2_max", "eq4_max",
+                 "eq5_max", "riemann_max", "immersion_max"):
+        assert getattr(rep, name) > 1e-4, name
+
+    # eq1 and eq2 come from beta; the scale-factor forms of the same
+    # systems (the Lame equations and the eq2 sum over H, dH, d2H) are
+    # the oracle
+    H, dH, d2H = scale_factors(skewed_map, u)
+    res = _systems(H, *_rotation(H, dH, d2H))
+    lame_form = []
+    for i, j, k in itertools.combinations(range(3), 3):
+        for ii, jj, kk in ((i, j, k), (j, i, k), (k, i, j)):
+            lame_form.append(d2H[jj, kk, ii]
+                             - (dH[kk, jj] / H[jj]) * dH[jj, ii]
+                             - (dH[jj, kk] / H[kk]) * dH[kk, ii])
+    assert res.eq1 == pytest.approx(lame_form, rel=1e-12, abs=0.0)
+    sum_form = []
+    for i, j in itertools.combinations(range(3), 2):
+        k = 3 - i - j
+        sum_form.append(d2H[j, j, i] / H[j] - dH[j, i] * dH[j, j] / H[j] ** 2
+                        + d2H[i, i, j] / H[i]
+                        - dH[i, j] * dH[i, i] / H[i] ** 2
+                        + dH[k, i] * dH[k, j] / H[k] ** 2)
+    assert res.eq5 == pytest.approx(sum_form, rel=1e-12, abs=0.0)
+    assert res.eq2 == res.eq5
+    assert rep.eq2_max == rep.eq5_max
 
 
 def test_epsilon_ratio_is_parameter_independent():
