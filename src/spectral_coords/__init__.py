@@ -26,10 +26,10 @@ from .errors import (CountMismatch, DegenerateParameters, DivisorMismatch,
                      NotInvolution, PNotFixed, PoleEvaluation,
                      SingularFredholm, SingularSystem, SpectralError,
                      StencilFailure, TailTooFat)
-from .gallery import GalleryEntry, build, reference_residual
+from .gallery import GalleryEntry, build
 from .geometry import (FDConfig, FIRST_DERIVATIVE_FD, GeometryReport, Jet,
-                       SECOND_DERIVATIVE_FD, SystemResiduals, build_report,
-                       epsilon_invariant, jet, lame, metric, rotation_systems)
+                       SECOND_DERIVATIVE_FD, build_report, epsilon_invariant,
+                       jet, lame, metric, rotation_systems)
 from .numerics import (INF, FactoredRational, Infinity, RationalDifferential,
                        is_inf, require_finite, same_point)
 

@@ -56,13 +56,20 @@ _SOLVE_BLOCK = 1024
 _SCREEN_MARGIN = 0.5
 
 
-def _phase_vector(data: SpectralData, comp: int, z) -> np.ndarray:
-    """Coefficients of u in the exponent of psi_c at the point z."""
+def _phase_vector(data: SpectralData, comp: int, z,
+                  strip: int = None) -> np.ndarray:
+    """Coefficients of u in the exponent of psi_c at the point z.
+
+    The u^strip term is left out where its phase has a pole at z: at the
+    marker P_i, with strip = i, what remains is the exponent of the
+    leading coefficient h_i. Any other phase with a pole at z raises."""
     vec = np.zeros(data.n, dtype=complex)
     for term in data.ansatz[comp].essential:
         try:
             vec[term.var - 1] += term.phase.eval(z)
         except PoleEvaluation as exc:
+            if term.var == strip:
+                continue
             raise EssentialSingularity(
                 f"phase of u^{term.var} blows up at {z} on component {comp}"
             ) from exc
@@ -92,28 +99,15 @@ def _block_offsets(data: SpectralData) -> tuple:
     return tuple(offsets)
 
 
-def _point_rows(data: SpectralData, points, offsets):
-    """Basis rows and phase vectors at the given curve points."""
+def _point_rows(data: SpectralData, points, offsets, strip: bool = False):
+    """Basis rows and phase vectors at the given curve points. With strip,
+    the points are the markers P_1, ..., P_n and point i leaves out its
+    u^i term (see _phase_vector), which gives the rows of the h_i."""
     base = [_basis_row(data, cp.component, cp.point, offsets) for cp in points]
-    phase = [_phase_vector(data, cp.component, cp.point) for cp in points]
+    phase = [_phase_vector(data, cp.component, cp.point,
+                           i + 1 if strip else None)
+             for i, cp in enumerate(points)]
     return np.array(base), np.array(phase)
-
-
-def _leading_rows(data: SpectralData, offsets):
-    """Basis rows and stripped phase vectors at the markers P_i."""
-    h_base, h_phase = [], []
-    for i, cp in enumerate(data.P_markers):
-        vec = np.zeros(data.n, dtype=complex)
-        for term in data.ansatz[cp.component].essential:
-            if term.phase.order_at(cp.point) < 0:
-                if term.var != i + 1:
-                    raise EssentialSingularity(
-                        f"phase of u^{term.var} blows up at marker {i + 1}")
-                continue
-            vec[term.var - 1] += term.phase.eval(cp.point)
-        h_base.append(_basis_row(data, cp.component, cp.point, offsets))
-        h_phase.append(vec)
-    return np.array(h_base), np.array(h_phase)
 
 
 def _norm_product(X: np.ndarray) -> np.ndarray:
@@ -223,7 +217,8 @@ class Solver:
 
         # evaluation data for the coordinate map x^j = psi(Q_j) and for h_i
         self._q_base, self._q_phase = _point_rows(data, data.Q, self.offsets)
-        self._h_base, self._h_phase = _leading_rows(data, self.offsets)
+        self._h_base, self._h_phase = _point_rows(data, data.P_markers,
+                                                  self.offsets, strip=True)
         # row_scatter[t, i] = 1 where term t sits in row i, so that
         # (terms, ...) @ row_scatter sums term contributions per row
         self._row_scatter = np.zeros((len(rows), self.size))

@@ -302,9 +302,9 @@ def cmd_dress(args: argparse.Namespace) -> int:
     probes = sorted({0, len(samples) // 2, len(samples) - 1})
     res4 = res5 = 0.0
     for k in probes:
-        res = dressing.check_beta_systems(beta_at, spec.n, samples[k])
-        res4 = max(res4, float(max((abs(v) for v in res.eq4), default=0.0)))
-        res5 = max(res5, float(max((abs(v) for v in res.eq5), default=0.0)))
+        eq4, eq5 = dressing.check_beta_systems(beta_at, spec.n, samples[k])
+        res4 = max(res4, float(max((abs(v) for v in eq4), default=0.0)))
+        res5 = max(res5, float(max((abs(v) for v in eq5), default=0.0)))
     passed = bool(res4 <= tol and res5 <= tol)
 
     if args.fmt == "csv":

@@ -9,7 +9,9 @@ matrix kernel F is formed, the Marchenko-type equation
 
 is solved by Nystrom collocation on a truncated grid, and K(s, s) yields
 a rotation-coefficient matrix whose compatibility systems are then checked
-by finite differences over u.
+by finite differences over u. Those derivatives, like the ones that check
+F's own structure systems, come from geometry's central-difference stencil
+(`geometry._fd_jet`), and the systems from `geometry.rotation_systems`.
 
 A spec's F is a sum of signed rank-one terms, tabulated once per spec:
 entry (i, j) with factors (first, second) gives, in this order,
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import (IncompatibleField, InputError, SingularFredholm,
                      TailTooFat)
-from .geometry import SystemResiduals, rotation_systems
+from .geometry import FDConfig, _fd_jet, rotation_systems
 from .numerics import json_int, json_real
 
 TAIL_BOUND = 1e-10
@@ -236,31 +238,32 @@ def build_F(spec: KernelSpec, u, s, sp) -> np.ndarray:
 
 def check_F_equations(spec: KernelSpec, u) -> tuple:
     """(max residual of the linear symmetry system, max residual of the
-    differential reduction) over the grid F_CHECK_POINTS^2 of (s, s'), via
-    central FD with step F_CHECK_STEP."""
-    u = np.asarray(u, dtype=float)
+    differential reduction) over the grid F_CHECK_POINTS^2 of (s, s').
+
+    dF/du^k, dF/ds and dF/ds' at each grid point come from one
+    geometry._fd_jet over (u, s, s'), second order with step F_CHECK_STEP;
+    the reduction's swapped term dF(s', s)/ds' is read from the jet at the
+    mirrored grid point."""
     n = spec.n
-    h = F_CHECK_STEP
+    fd = FDConfig(h=F_CHECK_STEP, order=2)
+
+    def F_at(points):
+        return np.stack([build_F(spec, p[:n], p[n], p[n + 1])
+                         for p in points])
+
+    dF = {(s, sp): _fd_jet(F_at, np.append(u, (s, sp)), 1, fd, (n, n)).dx.real
+          for s in F_CHECK_POINTS for sp in F_CHECK_POINTS}
     res10 = 0.0
     res12 = 0.0
-    for s in F_CHECK_POINTS:
-        for sp in F_CHECK_POINTS:
-            dFdu = np.stack([
-                (build_F(spec, u + h * e, s, sp) - build_F(spec, u - h * e, s, sp))
-                / (2 * h)
-                for e in np.eye(n)])
-            dFds = (build_F(spec, u, s + h, sp) - build_F(spec, u, s - h, sp)) \
-                / (2 * h)
-            dFdsp = (build_F(spec, u, s, sp + h) - build_F(spec, u, s, sp - h)) \
-                / (2 * h)
-            for k in range(n):
-                resid = dFdu[k].copy()
-                resid[k, :] += dFds[k, :]
-                resid[:, k] += dFdsp[:, k]
-                res10 = max(res10, float(np.max(np.abs(resid))))
-            dF_swap = (build_F(spec, u, sp, s + h) - build_F(spec, u, sp, s - h)) \
-                / (2 * h)
-            res12 = max(res12, float(np.max(np.abs(dFdsp + dF_swap.T))))
+    for (s, sp), d in dF.items():
+        dFds, dFdsp = d[n], d[n + 1]
+        for k in range(n):
+            resid = d[k].copy()
+            resid[k, :] += dFds[k, :]
+            resid[:, k] += dFdsp[:, k]
+            res10 = max(res10, float(np.max(np.abs(resid))))
+        dF_swap = dF[sp, s][n + 1]
+        res12 = max(res12, float(np.max(np.abs(dFdsp + dF_swap.T))))
     return res10, res12
 
 
@@ -453,21 +456,16 @@ def rotation_from_dressing(spec: KernelSpec, u, grid: Grid) -> np.ndarray:
     return solve_marchenko(spec, u, grid).diagonal().T
 
 
-def check_beta_systems(beta_fn, n: int, u) -> SystemResiduals:
-    """FD residuals (step BETA_CHECK_STEP) of the two rotation-coefficient
-    systems for an opaque beta field; the triple-index family is empty for
-    n = 2."""
+def check_beta_systems(beta_fn, n: int, u) -> tuple:
+    """Residuals (eq4, eq5) of the two rotation-coefficient systems for an
+    opaque beta field, as geometry.rotation_systems lists them; eq4 is
+    empty for n = 2. dbeta comes from geometry._fd_jet, second order with
+    step BETA_CHECK_STEP: beta_fn is called at u and at u +- h e_k, 2n + 1
+    (n, n) fields in all."""
     u = np.asarray(u, dtype=float)
-    h = BETA_CHECK_STEP
-    beta0 = np.asarray(beta_fn(u), dtype=float)
-    dbeta = np.empty((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        dbeta[k] = (np.asarray(beta_fn(u + e)) - np.asarray(beta_fn(u - e))) \
-            / (2 * h)
-    eq4, eq5 = rotation_systems(beta0, dbeta)
-    return SystemResiduals(eq4=eq4, eq5=eq5)
+    j = _fd_jet(lambda points: np.stack([beta_fn(p) for p in points]), u, 1,
+                FDConfig(h=BETA_CHECK_STEP, order=2), (n, n))
+    return rotation_systems(j.x.real, j.dx.real)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +532,8 @@ def lame_from_rotation(beta_fn, cauchy, axes) -> LameResult:
 
     if n >= 3:
         probe = pts[len(pts) // 2]
-        worst = check_beta_systems(beta_fn, n, probe).eq4
-        worst = max((abs(v) for v in worst), default=0.0)
+        eq4, _ = check_beta_systems(beta_fn, n, probe)
+        worst = max((abs(v) for v in eq4), default=0.0)
         if worst > 1e-2:
             raise IncompatibleField(
                 f"rotation field violates its integrability system "

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baker import Solver
 from .curve import (ComponentAnsatz, CurvePoint, EssentialTerm, Gluing,
                     InvolutionSpec, Normalization, SpectralData)
 from .errors import DegenerateParameters, InputError
@@ -50,15 +49,6 @@ def _diff(scale, factors) -> RationalDifferential:
 def _pole_diff_unit(q) -> RationalDifferential:
     """-dz/(z(z-q)(z+q)), whose residue at 0 is 1/q^2 (q = 1 or q = i here)."""
     return _diff(-1.0, [(0j, -1), (q, -1), (-q, -1)])
-
-
-def reference_residual(entry: GalleryEntry, u) -> float:
-    if entry.reference is None:
-        raise InputError(f"gallery entry {entry.name} has no reference map")
-    u = np.atleast_2d(np.asarray(u, dtype=float))
-    engine = Solver(entry.data).map_batch(u)
-    ref = np.asarray(entry.reference(u), dtype=complex)
-    return float(np.max(np.abs(engine - ref)))
 
 
 # ---------------------------------------------------------------------------

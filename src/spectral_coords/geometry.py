@@ -18,21 +18,25 @@ maps are orthogonal. The entry points that take a map are `jet`,
   the `fd_first` argument (FIRST_DERIVATIVE_FD by default), and every
   higher one uses SECOND_DERIVATIVE_FD; a Solver ignores both.
 
-Anything else is a TypeError. The Jacobian J[k, a] = dx^k/du^a is
+Anything else is a TypeError. The stencil itself (`_fd_jet`) serves any
+array-valued callable, with the value axes last: the dressing route takes
+its derivatives of beta and of its kernel F from it, so the package has
+one central-difference engine. The Jacobian J[k, a] = dx^k/du^a is
 `jet(source, u, 1).dx.T`. `epsilon_invariant` checks the normalization
 invariant from scale factors its caller has already measured.
 
 The four curvature systems all come from the rotation coefficients
 beta_ij = d_i H_j / H_i (`_systems`), so eq2 equals eq5 by
-construction; Riemann and the immersion system, from the Christoffel
-symbols, check the same flatness independently.
+construction and the report reads it off eq5; Riemann and the immersion
+system, from the Christoffel symbols, check the same flatness
+independently.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +85,10 @@ SECOND_DERIVATIVE_FD = FDConfig(h=1e-3, order=4)
 class Jet:
     """The coordinate map and its u-derivatives at one parameter point.
 
-    Derivative axes come first and the coordinate index last:
-    dx[a, k] = dx^k/du^a, d2x[a, b, k] and d3x[a, b, c, k]. Orders
-    beyond the one requested are None.
+    Derivative axes come first and the value axes last: for a coordinate
+    map dx[a, k] = dx^k/du^a, d2x[a, b, k] and d3x[a, b, c, k], and an
+    FD jet of an array-valued callable (`_fd_jet`) carries its values'
+    shape in place of k. Orders beyond the one requested are None.
     """
 
     u: np.ndarray
@@ -131,7 +136,10 @@ def _stencil_weights(n, order, fd_first):
     return steps, weights
 
 
-def _fd_jet(map_fn, u, order, fd_first) -> Jet:
+def _fd_jet(map_fn, u, order, fd_first, shape) -> Jet:
+    """Jet of map_fn at u from one sparse stencil evaluated in a single
+    batch. map_fn takes (m, n) points to values of shape (m,) + shape, and
+    the k-th derivative tensor has shape (n,) * k + shape."""
     n = u.size
     steps, weights = _stencil_weights(n, order, fd_first)
     points = u[None, :] + steps
@@ -141,14 +149,16 @@ def _fd_jet(map_fn, u, order, fd_first) -> Jet:
         raise
     except Exception as exc:
         raise StencilFailure(f"map evaluation failed on stencil: {exc}") from exc
-    if values.shape != points.shape:
+    m = len(points)
+    if values.shape != (m,) + shape:
         raise StencilFailure(
-            f"map returned shape {values.shape}, expected {points.shape}")
+            f"map returned shape {values.shape}, expected {(m,) + shape}")
+    flat = values.reshape(m, -1)
     derivs = [values[0]]
     for k in range(1, order + 1):
-        tensor = np.zeros((n,) * k + (n,), dtype=complex)
+        tensor = np.zeros((n,) * k + shape, dtype=complex)
         for idx in itertools.combinations_with_replacement(range(n), k):
-            value = weights[idx] @ values
+            value = (weights[idx] @ flat).reshape(shape)
             for perm in set(itertools.permutations(idx)):
                 tensor[perm] = value
         derivs.append(tensor)
@@ -168,7 +178,7 @@ def jet(source, u, order: int = 3,
     if not callable(source):
         raise TypeError("a map source is a Solver or a callable, not "
                         f"{type(source).__name__}")
-    return _fd_jet(source, u, order, fd_first)
+    return _fd_jet(source, u, order, fd_first, u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +257,21 @@ def _immersion_max(j: Jet, gamma) -> float:
     return float(np.max(np.abs(j.d2x - rhs)))
 
 
-@dataclass
-class SystemResiduals:
-    """Residuals of the four scale-factor/rotation systems at one point.
-
-    Each list holds one entry per index combination; for n = 2 the
-    triple-index families are genuinely empty rather than zero. eq2
-    equals eq5 by construction (see `_systems`).
-    """
-
-    eq1: list = field(default_factory=list)
-    eq2: list = field(default_factory=list)
-    eq4: list = field(default_factory=list)
-    eq5: list = field(default_factory=list)
-
-    def max_abs(self) -> float:
-        values = self.eq1 + self.eq2 + self.eq4 + self.eq5
-        return max((abs(v) for v in values), default=0.0)
-
-
-def _systems(H, beta, dbeta) -> SystemResiduals:
-    """The four systems from H and beta, dbeta = _rotation(H, dH, d2H).
+def _systems(H, beta, dbeta) -> tuple:
+    """(eq1, eq4, eq5) from H and beta, dbeta = _rotation(H, dH, d2H).
 
     eq1 (Lame) and eq2 are the scale-factor systems rewritten through
     beta_ij = d_i H_j / H_i: each eq1 entry is an eq4 entry times H_j,
     H_j (d_k beta_ji - beta_jk beta_ki), and eq2 equals eq5 by
-    construction."""
+    construction, so it is not listed twice. Each list holds one entry
+    per index combination; for n = 2 the triple-index families are
+    genuinely empty rather than zero."""
     eq1 = []
     for i, j, k in itertools.combinations(range(H.size), 3):
         for ii, jj, kk in ((i, j, k), (j, i, k), (k, i, j)):
             eq1.append(float(H[jj] * (dbeta[kk, jj, ii]
                                       - beta[jj, kk] * beta[kk, ii])))
-    eq4, eq5 = rotation_systems(beta, dbeta)
-    return SystemResiduals(eq1=eq1, eq2=list(eq5), eq4=eq4, eq5=eq5)
+    return (eq1,) + rotation_systems(beta, dbeta)
 
 
 def rotation_systems(beta, dbeta):
@@ -372,7 +364,7 @@ def build_report(source, u,
     off = g - np.diag(np.diagonal(g))
     H, dH, d2H = _scale_factors(j, g)
     beta, dbeta = _rotation(H, dH, d2H)
-    systems = _systems(H, beta, dbeta)
+    eq1, eq4, eq5 = _systems(H, beta, dbeta)
     gamma, dgamma = _christoffel(H, dH, d2H)
 
     def fmax(vals):
@@ -385,10 +377,10 @@ def build_report(source, u,
         g_offdiag_max=float(np.max(np.abs(off))),
         lame=H.tolist(),
         rotation=beta.tolist(),
-        eq1_max=fmax(systems.eq1),
-        eq2_max=fmax(systems.eq2),
-        eq4_max=fmax(systems.eq4),
-        eq5_max=fmax(systems.eq5),
+        eq1_max=fmax(eq1),
+        eq2_max=fmax(eq5),  # eq2 equals eq5, see _systems
+        eq4_max=fmax(eq4),
+        eq5_max=fmax(eq5),
         riemann_max=_riemann_max(gamma, dgamma),
         immersion_max=_immersion_max(j, gamma),
     )

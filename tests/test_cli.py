@@ -526,14 +526,13 @@ PUBLIC_NAMES = [
     "NotInvolution", "PNotFixed", "PhiEntry", "PoleEvaluation",
     "RationalDifferential", "RegularityReport", "SECOND_DERIVATIVE_FD",
     "SingularFredholm", "SingularSystem", "Solver", "SpectralData",
-    "SpectralError", "StencilFailure", "SystemResiduals", "TailTooFat",
-    "arithmetic_genus", "baker", "build", "build_F", "build_report",
-    "check_F_equations", "check_Q_residues", "check_beta_systems",
-    "check_involution", "check_regular", "curve", "dressing",
-    "epsilon_invariant", "errors", "gallery", "geometry", "is_inf", "jet",
-    "lame", "lame_from_rotation", "metric", "numerics", "reference_residual",
-    "require_finite", "rotation_from_dressing", "rotation_systems",
-    "same_curve_point", "same_point", "solve_marchenko",
+    "SpectralError", "StencilFailure", "TailTooFat", "arithmetic_genus",
+    "baker", "build", "build_F", "build_report", "check_F_equations",
+    "check_Q_residues", "check_beta_systems", "check_involution",
+    "check_regular", "curve", "dressing", "epsilon_invariant", "errors",
+    "gallery", "geometry", "is_inf", "jet", "lame", "lame_from_rotation",
+    "metric", "numerics", "require_finite", "rotation_from_dressing",
+    "rotation_systems", "same_curve_point", "same_point", "solve_marchenko",
     "solve_marchenko_kernel", "validate_counting",
 ]
 

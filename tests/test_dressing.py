@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords import geometry
+from spectral_coords import dressing, geometry
 from spectral_coords.baker import Solver
 from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
                                       _cumulative_integral, _gauss_legendre,
@@ -16,7 +16,8 @@ from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
                                       rotation_from_dressing, solve_marchenko,
                                       solve_marchenko_kernel)
 from spectral_coords.errors import (IncompatibleField, InputError,
-                                    SingularFredholm, TailTooFat)
+                                    SingularFredholm, StencilFailure,
+                                    TailTooFat)
 from test_geometry import systems
 
 rng = np.random.default_rng(20240816)
@@ -210,28 +211,70 @@ def test_kernel_satisfies_both_structure_systems(u):
     assert res12 < 1e-6
 
 
-def test_wrong_off_diagonal_sign_breaks_reduction():
-    spec = make_spec2()
-    ref = build_F(spec, np.zeros(2), 0.3, -0.4)
-    h = 1e-4
+def test_wrong_off_diagonal_sign_breaks_reduction(monkeypatch):
     # flipping the sign of the lower block makes the reduction residual
-    # jump from FD noise to order one
-    def res12_of(sign):
-        worst = 0.0
-        for s in (-0.5, 0.2):
-            for sp in (-0.1, 0.4):
-                def F(a, b):
-                    out = build_F(spec, np.zeros(2), a, b)
-                    out[1, 0] *= sign
-                    return out
-                dFdsp = (F(s, sp + h) - F(s, sp - h)) / (2 * h)
-                dswap = (F(sp, s + h) - F(sp, s - h)) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(dFdsp + dswap.T))))
-        return worst
+    # jump from FD noise to order one; each entry's symmetry equation
+    # involves that entry alone, so that system still holds
+    spec = make_spec2()
+    exact = build_F
 
-    assert ref.shape == (2, 2)
-    assert res12_of(+1.0) < 1e-6
-    assert res12_of(-1.0) > 1e-3
+    def flipped(*args):
+        out = exact(*args)
+        out[1, 0] *= -1.0
+        return out
+
+    assert check_F_equations(spec, np.zeros(2))[1] < 1e-6
+    monkeypatch.setattr(dressing, "build_F", flipped)
+    res10, res12 = check_F_equations(spec, np.zeros(2))
+    assert res10 < 1e-6
+    assert res12 > 1e-3
+
+
+def test_kernel_at_doubled_u_breaks_the_symmetry_system(monkeypatch):
+    # F(2u) doubles every u-derivative, so dF/du^k no longer cancels the
+    # s- and s'-derivatives; the reduction, in (s, s') alone, still holds
+    exact = build_F
+    monkeypatch.setattr(dressing, "build_F", lambda spec, u, s, sp:
+                        exact(spec, 2.0 * np.asarray(u), s, sp))
+    res10, res12 = check_F_equations(make_spec3(), np.array([0.1, -0.2, 0.05]))
+    assert res10 > 1e-3
+    assert res12 < 1e-6
+
+
+def explicit_F_residuals(spec, u):
+    """check_F_equations written out with its own central differences in
+    each variable, the form the stencil version replaced."""
+    n = spec.n
+    h = dressing.F_CHECK_STEP
+    res10 = res12 = 0.0
+    for s in dressing.F_CHECK_POINTS:
+        for sp in dressing.F_CHECK_POINTS:
+            dFdu = np.stack([
+                (build_F(spec, u + h * e, s, sp) - build_F(spec, u - h * e, s, sp))
+                / (2 * h)
+                for e in np.eye(n)])
+            dFds = (build_F(spec, u, s + h, sp) - build_F(spec, u, s - h, sp)) \
+                / (2 * h)
+            dFdsp = (build_F(spec, u, s, sp + h) - build_F(spec, u, s, sp - h)) \
+                / (2 * h)
+            for k in range(n):
+                resid = dFdu[k].copy()
+                resid[k, :] += dFds[k, :]
+                resid[:, k] += dFdsp[:, k]
+                res10 = max(res10, float(np.max(np.abs(resid))))
+            dF_swap = (build_F(spec, u, sp, s + h) - build_F(spec, u, sp, s - h)) \
+                / (2 * h)
+            res12 = max(res12, float(np.max(np.abs(dFdsp + dF_swap.T))))
+    return res10, res12
+
+
+@pytest.mark.parametrize("make_spec", [make_spec2, make_spec3])
+def test_F_check_matches_explicit_differences(make_spec):
+    spec = make_spec()
+    for u in np.random.default_rng(7).uniform(-0.3, 0.3, size=(3, spec.n)):
+        new = check_F_equations(spec, u)
+        old = explicit_F_residuals(spec, u)
+        assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
 
 
 # -- quadrature grids -------------------------------------------------------
@@ -595,28 +638,28 @@ def test_solution_matches_a_direct_solve():
 def test_dressed_rotation_satisfies_both_systems():
     spec = make_spec3()
     u0 = np.array([0.15, -0.1, 0.2])
-    res = check_beta_systems(
+    eq4, eq5 = check_beta_systems(
         lambda u: rotation_from_dressing(spec, u, GRID), 3, u0)
-    assert max(abs(v) for v in res.eq4) < 1e-7
-    assert max(abs(v) for v in res.eq5) < 1e-7
+    assert max(abs(v) for v in eq4) < 1e-7
+    assert max(abs(v) for v in eq5) < 1e-7
 
 
 def test_untransposed_extraction_fails_the_skew_system():
     spec = make_spec3()
     u0 = np.array([0.15, -0.1, 0.2])
     raw = lambda u: solve_marchenko(spec, u, GRID).diagonal()
-    res = check_beta_systems(raw, 3, u0)
-    assert max(abs(v) for v in res.eq4) < 1e-6  # insensitive to transpose
-    assert max(abs(v) for v in res.eq5) > 1e-5  # discriminates
+    eq4, eq5 = check_beta_systems(raw, 3, u0)
+    assert max(abs(v) for v in eq4) < 1e-6  # insensitive to transpose
+    assert max(abs(v) for v in eq5) > 1e-5  # discriminates
 
 
 def test_two_axis_spec_has_no_triple_system():
-    res = check_beta_systems(
+    eq4, eq5 = check_beta_systems(
         lambda u: rotation_from_dressing(make_spec2(), u, GRID), 2,
         np.array([0.1, -0.05]))
-    assert res.eq4 == []
-    assert len(res.eq5) == 1
-    assert abs(res.eq5[0]) < 1e-6
+    assert eq4 == []
+    assert len(eq5) == 1
+    assert abs(eq5[0]) < 1e-6
 
 
 # -- scale factors from a rotation field ------------------------------------
@@ -649,8 +692,52 @@ def translated_frame():
 def test_closed_field_systems_vanish():
     # the residual floor is the h^2 truncation of the central difference
     beta_fn, _, _ = translated_frame()
-    res = check_beta_systems(beta_fn, 3, np.array([0.2, -0.3, 0.1]))
-    assert res.max_abs() < 1e-6
+    eq4, eq5 = check_beta_systems(beta_fn, 3, np.array([0.2, -0.3, 0.1]))
+    assert max(map(abs, eq4 + eq5)) < 1e-6
+
+
+def test_beta_check_evaluates_the_central_stencil():
+    # u and u +- h e_k, 2n + 1 fields: with the sample's own solve, the
+    # 8 Nystrom solves per dress sample at n = 3
+    beta_fn, _, _ = translated_frame()
+    calls = []
+
+    def counted(u):
+        calls.append(tuple(u))
+        return beta_fn(u)
+
+    u = np.array([0.2, -0.3, 0.1])
+    h = dressing.BETA_CHECK_STEP
+    check_beta_systems(counted, 3, u)
+    expected = {tuple(u)} | {tuple(u + sign * h * e)
+                             for e in np.eye(3) for sign in (1.0, -1.0)}
+    assert len(calls) == 7
+    assert set(calls) == expected
+
+
+def test_beta_check_refuses_a_wrongly_shaped_field():
+    with pytest.raises(StencilFailure,
+                       match=r"\(7, 2, 2\).*\(7, 3, 3\)"):
+        check_beta_systems(lambda u: np.zeros((2, 2)), 3, np.zeros(3))
+
+
+def test_beta_check_derivative_matches_closed_form():
+    # translated_frame's beta depends on u^2 alone, through sin and cos,
+    # so the central difference is off by at most h^2 / 6
+    beta_fn, _, _ = translated_frame()
+    u = np.array([0.2, -0.3, 0.1])
+    h = dressing.BETA_CHECK_STEP
+    j = geometry._fd_jet(lambda points: np.stack([beta_fn(p) for p in points]),
+                         u, 1, geometry.FDConfig(h=h, order=2), (3, 3))
+    exact = np.zeros((3, 3, 3))
+    exact[1, 0, 2] = np.cos(u[1] + 0.8)
+    exact[1, 1, 2] = -np.sin(u[1] + 0.8)
+    bound = h ** 2 / 6 + 1e-12
+    assert np.array_equal(j.x.real, beta_fn(u))
+    assert np.max(np.abs(j.dx.real - exact)) <= bound
+    fd4, fd5 = check_beta_systems(beta_fn, 3, u)
+    eq4, eq5 = geometry.rotation_systems(beta_fn(u), exact)
+    assert np.max(np.abs(np.subtract(fd4 + fd5, eq4 + eq5))) <= 2 * bound
 
 
 def test_lame_reconstruction_trivial_field():
@@ -724,11 +811,11 @@ def test_beta_checker_agrees_with_the_spectral_route(name):
     solver = Solver(gallery.build(name).data)
     n = solver.data.n
     u = rng.uniform(-0.3, 0.3, size=n)
-    fd = check_beta_systems(
+    fd4, fd5 = check_beta_systems(
         lambda v: np.array(geometry.build_report(solver, v).rotation), n, u)
-    exact = systems(solver, u)
-    assert len(fd.eq4) == len(exact.eq4)
-    assert len(fd.eq5) == len(exact.eq5)
+    _, eq4, eq5 = systems(solver, u)
+    assert len(fd4) == len(eq4)
+    assert len(fd5) == len(eq5)
     # h = 1e-3 central differences on a smooth field
-    assert fd.max_abs() <= 1e-5
-    assert max(map(abs, exact.eq4 + exact.eq5), default=0.0) <= 1e-12
+    assert max(map(abs, fd4 + fd5)) <= 1e-5
+    assert max(map(abs, eq4 + eq5), default=0.0) <= 1e-12
