@@ -28,9 +28,12 @@ SingularSystem, so the refusals are those of an SVD of every row. An
 A(u) whose exp(phase . u) overflows is refused too.
 
 The coefficients c(u) never leave a Solver: `solve_batch` returns the map
-x(u), the leading coefficients h_i(u), the exact 2-norm condition numbers
-and the residuals |A c - b|; `map_batch` and `h_batch` return only x or
-only the h_i, and compute no conditions or residuals.
+x(u), its first derivatives, the leading coefficients h_i(u), the exact
+2-norm condition numbers and the residuals |A c - b|, all from one
+assembly of A(u) and one factorization; `map_batch` and `h_batch` return
+only x or only the h_i, and compute no conditions or residuals. A
+non-finite x, derivative, h_i or residual is refused as SingularSystem
+naming its u, without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -127,8 +130,20 @@ def _exp_phase(us: np.ndarray, phase: np.ndarray) -> np.ndarray:
 def _psi(us: np.ndarray, coeffs: np.ndarray, base: np.ndarray,
          phase: np.ndarray) -> np.ndarray:
     """psi at points with basis rows `base` and phase vectors `phase`, for
-    a batch of u and its solved coefficients: (m, points)."""
-    return _exp_phase(us, phase) * np.einsum("mk,jk->mj", coeffs, base)
+    a batch of u and its solved coefficients: (m, points). An overflow
+    gives inf or nan without a RuntimeWarning; the Solver refuses them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _exp_phase(us, phase) * np.einsum("mk,jk->mj", coeffs, base)
+
+
+def _finite(us: np.ndarray, what: str, values: np.ndarray) -> np.ndarray:
+    """values, whose leading axis runs over the batch us, after refusing
+    the first u at which any of them is not finite."""
+    finite = np.isfinite(values.reshape(len(us), -1)).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise SingularSystem(f"non-finite {what} at u = {us[k].tolist()}")
+    return values
 
 
 def _exp_jet(phase: np.ndarray, weights: np.ndarray, order: int) -> list:
@@ -237,20 +252,23 @@ class Solver:
         return A
 
     def _factor(self, us: np.ndarray, inverse: bool = False):
-        """Coefficients c(u) for a batch of u, and A(u)^-1 when asked
-        (else None), under the two-stage gate the module docstring sets out.
+        """Coefficients c(u) for a batch of u, under the two-stage gate the
+        module docstring sets out, with A(u) and A(u)^-1 when asked (else
+        None, None): (c, A, A^-1).
 
-        Each block of _SOLVE_BLOCK rows is one stacked solve
-        A [c | A^-1] = [b | I]. The rows the screen does not clear, and
-        every row of a block whose solve raises LinAlgError, are judged
+        Each block of _SOLVE_BLOCK rows is one assembly and one stacked
+        solve A [c | A^-1] = [b | I]. The rows the screen does not clear,
+        and every row of a block whose solve raises LinAlgError, are judged
         together by np.linalg.cond at the end, so the worst refusal is
         found across blocks; a LinAlgError with no refusal is re-raised.
         A non-finite A(u) is refused before it is solved.
         """
         m = us.shape[0]
         coeffs = np.empty((m, self.size), dtype=complex)
-        inv = np.empty((m, self.size, self.size), dtype=complex) \
-            if inverse else None
+        mats = inv = None
+        if inverse:
+            mats = np.empty((m, self.size, self.size), dtype=complex)
+            inv = np.empty_like(mats)
         rhs = np.concatenate([self.rhs[:, None], np.eye(self.size)], axis=1)
         doubtful_rows, doubtful_A, failure = [], [], None
         for r0 in range(0, m, _SOLVE_BLOCK):
@@ -271,6 +289,7 @@ class Solver:
                 continue
             coeffs[r0:r1] = sol[..., 0]
             if inverse:
+                mats[r0:r1] = A
                 inv[r0:r1] = sol[..., 1:]
             with np.errstate(over="ignore", invalid="ignore"):
                 bound = np.sqrt(_norm_product(A) * _norm_product(sol[..., 1:]))
@@ -289,61 +308,80 @@ class Solver:
                     f"condition estimate {worst:.3e} at u = {u.tolist()}")
         if failure is not None:
             raise failure
-        return coeffs, inv
+        return coeffs, mats, inv
+
+    def _map(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        return _finite(us, "map",
+                       _psi(us, coeffs, self._q_base, self._q_phase))
+
+    def _h(self, us: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        return _finite(us, "h", _psi(us, coeffs, self._h_base, self._h_phase))
+
+    def _derivatives(self, us, coeffs, inverse, order: int) -> list:
+        """Exact u-derivatives of x of orders 1 to `order`, from the solved
+        c(u) and A(u)^-1; entry k - 1 has the layout of `jet`'s entry k.
+
+        Differentiating A c = b gives, for each multi-index alpha,
+        A c_alpha = -sum over proper subsets beta of alpha of
+        (d^(alpha - beta) A) c_beta, and the derivatives of A are the
+        assembly weights times products of phases. x^j = exp(q_j . u)
+        (base_j . c) then follows by the product rule. The derivatives
+        can overflow where A(u) does not; they are refused, like x.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = _exp_jet(self._phase,
+                               self._base * _exp_phase(us, self._phase), order)
+            c = [coeffs]  # c[k]: (n,) * k + (m, size)
+            for k in range(1, order + 1):
+                gathered = [ck[..., self._cols] for ck in c]
+                rows = _leibniz(weights, gathered, k, skip_top=True) \
+                    @ self._row_scatter
+                c.append(-np.einsum("mij,...mj->...mi", inverse, rows))
+
+            growth = _exp_jet(self._q_phase, _exp_phase(us, self._q_phase),
+                              order)
+            rational = [np.einsum("...k,jk->...j", ck, self._q_base)
+                        for ck in c]
+            return [_finite(us, "map derivative",
+                            np.moveaxis(_leibniz(growth, rational, k), k, 0))
+                    for k in range(1, order + 1)]
 
     def solve_batch(self, us: np.ndarray):
-        """x(u), h_i(u), 2-norm condition numbers of A(u) and residual
-        norms |A c - b| for a batch of u, all from one factorization."""
+        """x(u), its first derivatives dx[s, a, j] = dx^j/du^a (as `jet`'s
+        entry 1), h_i(u), 2-norm condition numbers of A(u) and residual
+        norms |A c - b| for a batch of u, all from one assembly and one
+        factorization."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        coeffs, _ = self._factor(us)
-        A = self.matrices(us)
-        b = np.broadcast_to(self.rhs, (us.shape[0], self.size))
-        resid = np.linalg.norm(
-            np.einsum("mij,mj->mi", A, coeffs) - b, axis=1)
-        return (_psi(us, coeffs, self._q_base, self._q_phase),
-                _psi(us, coeffs, self._h_base, self._h_phase),
-                np.linalg.cond(A), resid)
+        coeffs, A, inverse = self._factor(us, inverse=True)
+        x = self._map(us, coeffs)
+        dx = self._derivatives(us, coeffs, inverse, 1)[0]
+        h = self._h(us, coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.linalg.norm(
+                np.einsum("mij,mj->mi", A, coeffs) - self.rhs, axis=1)
+        return x, dx, h, np.linalg.cond(A), _finite(us, "residual", resid)
 
     def map_batch(self, us: np.ndarray) -> np.ndarray:
         """Coordinates x(u) for a batch of u, shape (m, n), complex."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        return _psi(us, self._factor(us)[0], self._q_base, self._q_phase)
+        return self._map(us, self._factor(us)[0])
 
     def h_batch(self, us: np.ndarray) -> np.ndarray:
         """Leading coefficients h_i(u) for a batch of u, shape (m, n)."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        return _psi(us, self._factor(us)[0], self._h_base, self._h_phase)
+        return self._h(us, self._factor(us)[0])
 
     def jet(self, us: np.ndarray, order: int = 3) -> list:
         """x(u) and its exact u-derivatives up to `order` (0 to 3).
 
         Entry k of the result has shape (m,) + (n,) * k + (n,):
         out[k][s, a1, ..., ak, j] = d^k x^j / du^a1 ... du^ak at us[s].
-        Each u costs one factorization of A(u), gated like map_batch.
-        Differentiating A c = b gives, for each multi-index alpha,
-        A c_alpha = -sum over proper subsets beta of alpha of
-        (d^(alpha - beta) A) c_beta, and the derivatives of A are the
-        assembly weights times products of phases. x^j = exp(q_j . u)
-        (base_j . c) then follows by the product rule.
+        Each u costs one factorization of A(u), gated like map_batch,
+        whose inverse every derivative order reuses (see _derivatives).
         """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"jet order must be 0 to 3, got {order}")
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        # one factorization gives c and the inverse that every
-        # derivative order reuses
-        coeffs, inverse = self._factor(us, inverse=True)
-
-        weights = _exp_jet(self._phase,
-                           self._base * _exp_phase(us, self._phase), order)
-        c = [coeffs]  # c[k]: (n,) * k + (m, size)
-        for k in range(1, order + 1):
-            gathered = [ck[..., self._cols] for ck in c]
-            rows = _leibniz(weights, gathered, k, skip_top=True) \
-                @ self._row_scatter
-            c.append(-np.einsum("mij,...mj->...mi", inverse, rows))
-
-        growth = _exp_jet(self._q_phase, _exp_phase(us, self._q_phase), order)
-        rational = [np.einsum("...k,jk->...j", ck, self._q_base) for ck in c]
-        return [np.moveaxis(_leibniz(growth, rational, k), k, 0)
-                for k in range(order + 1)]
-
+        coeffs, _, inverse = self._factor(us, inverse=True)
+        return ([self._map(us, coeffs)]
+                + self._derivatives(us, coeffs, inverse, order))

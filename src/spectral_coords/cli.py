@@ -2,13 +2,16 @@
 
 Subcommands: validate, solve, verify, grid, gallery, dress. All machine
 output is JSON or CSV on stdout (or --out); diagnostics go to stderr.
+The argument parser is built once per process, at import; parsing does
+not change it, so repeated `main` calls in one process behave like fresh
+ones.
 
 Exit codes are a stable contract:
     0  pass
     1  check failure
     2  input error (bad JSON, bad flags, unknown gallery name,
        unwritable --out)
-    3  singular linear solve
+    3  singular linear solve, or a non-finite Solver output or metric
     4  dressing-specific failure (fat tail, singular integral operator)
 """
 
@@ -135,14 +138,15 @@ def _csv(header, table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _geometry_source(args: argparse.Namespace, solver: baker.Solver):
+def _geometry_source(args: argparse.Namespace, solver: baker.Solver, exact):
     """(source, fd_first): what geometry differentiates and its
-    first-derivative stencil. The source is the solver itself (exact
-    jets), or, when --fd-h or --fd-order is given, its map as an opaque
-    callable, so the finite-difference jets cross-check the exact ones."""
+    first-derivative stencil. The source is `exact` (the solver itself, or
+    a jet it has already computed), or, when --fd-h or --fd-order is given,
+    the solver's map as an opaque callable, so the finite-difference jets
+    cross-check the exact ones."""
     first = geometry.FIRST_DERIVATIVE_FD
     if args.fd_h is None and args.fd_order is None:
-        return solver, first
+        return exact, first
     return solver.map_batch, geometry.FDConfig(
         h=first.h if args.fd_h is None else args.fd_h,
         order=args.fd_order or first.order)
@@ -209,8 +213,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if len(u) != data.n:
         raise InputError(f"--u needs {data.n} components")
     solver = baker.Solver(data)
-    x, h, cond, resid = (v[0] for v in solver.solve_batch(u[None, :]))
-    source, fd_first = _geometry_source(args, solver)
+    x, dx, h, cond, resid = (v[0] for v in solver.solve_batch(u[None, :]))
+    source, fd_first = _geometry_source(args, solver,
+                                        geometry.Jet(u, x, dx))
     g, _g_imag = geometry.metric(source, u, fd_first)
     H = geometry.lame(g)
     _emit(_dump({
@@ -231,7 +236,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = grid or {k: np.linspace(-0.4, 0.4, 3) for k in range(data.n)}
     samples = _lattice(grid, data.n)
     solver = baker.Solver(data)
-    source, fd_first = _geometry_source(args, solver)
+    source, fd_first = _geometry_source(args, solver, solver)
 
     with ThreadPoolExecutor(max_workers=VERIFY_WORKERS) as pool:
         reports = list(pool.map(
@@ -387,10 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once per process: parse_args leaves the parser as it was, so each
+# call of main parses as a fresh one would.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
 

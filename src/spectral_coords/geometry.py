@@ -18,12 +18,14 @@ maps are orthogonal. The entry points that take a map are `jet`,
   the `fd_first` argument (FIRST_DERIVATIVE_FD by default), and every
   higher one uses SECOND_DERIVATIVE_FD; a Solver ignores both.
 
-Anything else is a TypeError. The stencil itself (`_fd_jet`) serves any
-array-valued callable, with the value axes last: the dressing route takes
-its derivatives of beta and of its kernel F from it, so the package has
-one central-difference engine. The Jacobian J[k, a] = dx^k/du^a is
-`jet(source, u, 1).dx.T`. `epsilon_invariant` checks the normalization
-invariant from scale factors its caller has already measured.
+Anything else is a TypeError. `metric` also takes a `Jet` its caller has
+already computed, such as x and dx from `Solver.solve_batch`. The stencil
+itself (`_fd_jet`) serves any array-valued callable, with the value axes
+last: the dressing route takes its derivatives of beta and of its kernel
+F from it, so the package has one central-difference engine. The
+Jacobian J[k, a] = dx^k/du^a is `jet(source, u, 1).dx.T`.
+`epsilon_invariant` checks the normalization invariant from scale
+factors its caller has already measured.
 
 The four curvature systems all come from the rotation coefficients
 beta_ij = d_i H_j / H_i (`_systems`), so eq2 equals eq5 by
@@ -42,8 +44,8 @@ import numpy as np
 
 from .baker import Solver
 from .curve import check_Q_residues
-from .errors import (InputError, NonPositiveDiagonal, SpectralError,
-                     StencilFailure)
+from .errors import (InputError, NonPositiveDiagonal, SingularSystem,
+                     SpectralError, StencilFailure)
 from .numerics import complex_to_json
 
 # central-difference weights per derivative order and accuracy order,
@@ -186,8 +188,14 @@ def jet(source, u, order: int = 3,
 # ---------------------------------------------------------------------------
 
 def _metric(j: Jet) -> np.ndarray:
-    """g[a, b] = sum_k dx^k/du^a dx^k/du^b, bilinear (no conjugate)."""
-    return np.einsum("ak,bk->ab", j.dx, j.dx)
+    """g[a, b] = sum_k dx^k/du^a dx^k/du^b, bilinear (no conjugate).
+    Derivatives too large to square give a non-finite g, which is refused
+    like a non-finite output of the Solver."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.einsum("ak,bk->ab", j.dx, j.dx)
+    if not np.isfinite(g).all():
+        raise SingularSystem(f"non-finite metric at u = {j.u.tolist()}")
+    return g
 
 
 def _scale_factors(j: Jet, g):
@@ -304,12 +312,14 @@ def rotation_systems(beta, dbeta):
 # ---------------------------------------------------------------------------
 
 def metric(source, u, fd: FDConfig = FIRST_DERIVATIVE_FD):
-    """Gram matrix of the Jacobian.
+    """Gram matrix of the Jacobian at u, from a map source as `jet` takes
+    it, or from a `Jet` already taken at u (such as one built from
+    `Solver.solve_batch`), whose dx it reads as it is.
 
     Returns (g, imag_max): the real part of the metric and the largest
     imaginary component encountered (reported, never dropped silently).
     """
-    g = _metric(jet(source, u, 1, fd))
+    g = _metric(source if isinstance(source, Jet) else jet(source, u, 1, fd))
     return g.real.copy(), float(np.max(np.abs(g.imag)))
 
 

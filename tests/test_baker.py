@@ -93,7 +93,7 @@ def test_leading_coefficients_for_disjoint_components():
     entry = gallery.build("euclidean3")
     u = np.array([[0.3, -0.2, 0.7]])
     solver = Solver(entry.data)
-    _, lead, cond, resid = solver.solve_batch(u)
+    _, _, lead, cond, resid = solver.solve_batch(u)
     assert np.allclose(lead[0], np.exp(u[0]), atol=1e-12)
     assert resid[0] < 1e-12
     assert np.isfinite(cond[0])
@@ -209,7 +209,7 @@ def test_screen_refuses_exactly_what_an_svd_of_every_row_refuses():
                     continue
                 assert np.array_equal(solver._factor(us)[0], coeffs)
                 if rows < 2500:
-                    assert np.array_equal(solver.solve_batch(us)[2], cond)
+                    assert np.array_equal(solver.solve_batch(us)[3], cond)
     assert sum(map(len, refusals.values())) == 104
 
 
@@ -232,7 +232,7 @@ def test_badly_scaled_refusals_keep_their_messages(name, u, message):
 def test_solve_batch_reports_the_svd_condition_and_residual():
     solver = Solver(gallery.build("spherical3").data)
     us = rng.uniform(-0.5, 0.5, size=(5, 3))
-    _, _, cond, resid = solver.solve_batch(us)
+    _, _, _, cond, resid = solver.solve_batch(us)
     A = solver.matrices(us)
     assert np.array_equal(cond, np.linalg.cond(A))
     assert np.array_equal(resid, np.linalg.norm(
@@ -246,10 +246,23 @@ def test_solve_batch_map_and_h_equal_map_batch_and_h_batch(name):
     solver = Solver(gallery.build(name).data)
     us = np.random.default_rng(sum(map(ord, name))).uniform(
         -0.5, 0.5, size=(3, solver.data.n))
-    x, h, _, _ = solver.solve_batch(us)
+    x, _, h, _, _ = solver.solve_batch(us)
     assert np.array_equal(x, solver.map_batch(us))
     assert np.array_equal(h, solver.h_batch(us))
     assert x.shape == h.shape == (3, solver.data.n)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_solve_batch_derivative_equals_the_order_one_jet(name):
+    # the same factorization and derivative helper, so bit for bit
+    solver = Solver(gallery.build(name).data)
+    us = np.random.default_rng(sum(map(ord, name))).uniform(
+        -0.5, 0.5, size=(3, solver.data.n))
+    x, dx, _, _, _ = solver.solve_batch(us)
+    jet = solver.jet(us, 1)
+    assert np.array_equal(x, jet[0])
+    assert np.array_equal(dx, jet[1])
+    assert dx.shape == (3, solver.data.n, solver.data.n)
 
 
 def test_map_batch_blocks_are_independent():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import spectral_coords
 import spectral_coords.gallery as gallery
 from spectral_coords import baker
 from spectral_coords.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 KERNEL2 = {
     "n": 2,
@@ -162,6 +165,47 @@ def test_grid_refuses_an_overflowing_exponent(polar_file, capsys):
     assert err == "error: exp(phase . u) overflows at u = [-800.0, 0.0]\n"
 
 
+def _edited_golden_config(tmp_path, name, path, value):
+    """The golden config of a gallery entry with the field at `path` (a
+    tuple of keys and indices) set to value."""
+    with open(os.path.join(GOLDEN, f"gallery-{name}.out")) as fh:
+        blob = json.load(fh)
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    target = tmp_path / f"{name}-edited.json"
+    target.write_text(json.dumps(blob))
+    return str(target)
+
+
+@pytest.mark.parametrize("name, path, value, argv, message", [
+    # dx is about 1e308, so the metric behind H overflowed to NaN
+    ("euclidean1", ("normalizations", 0, "point", 1), -1e308,
+     ("solve", "--u=0.1"), "non-finite metric at u = [0.1]"),
+    # a huge normalization value: |A c - b| overflowed to inf with a
+    # RuntimeWarning, and H_1 and H_2 were NaN
+    ("cylindrical", ("normalizations", 0, "value", 0), 1e300,
+     ("solve", "--u=0.1,0.1,0.1"),
+     "non-finite residual at u = [0.1, 0.1, 0.1]"),
+    # the third-order jet overflows where A(u) does not; verify printed
+    # "passed": true with every curvature gate at 0.0
+    ("example3", ("ansatz", 1, "essential", 0, "phase", "scale", 0), 1e300,
+     ("verify", "--grid", "1:-0.1:0.1:2"),
+     "non-finite map derivative at u = [-0.1, 0.0, 0.0]"),
+])
+def test_non_finite_solver_output_is_a_singular_system(tmp_path, capsys, name,
+                                                       path, value, argv,
+                                                       message):
+    config = _edited_golden_config(tmp_path, name, path, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], config, *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_passes_on_small_grid(polar_file, capsys):
     code, out, _ = run(capsys, "verify", polar_file,
                        "--grid", "1:-0.3:0.3:2;2:-0.2:0.2:2")
@@ -234,6 +278,30 @@ def test_solve_builds_one_solver(polar_file, capsys, monkeypatch):
     result = json.loads(out)
     assert set(result) == {"u", "x", "imag_max", "H", "h", "diagnostics"}
     assert result["H"] == pytest.approx([math.exp(0.3)] * 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.BUILDERS))
+def test_solve_assembles_and_factors_once(tmp_path, capsys, monkeypatch,
+                                          name):
+    # x, the order-1 jet behind H, h, the condition number and the
+    # residual all come from one A(u) and one factorization
+    counts = {"_factor": 0, "matrices": 0}
+    for method in counts:
+        original = getattr(baker.Solver, method)
+
+        def counting(self, *args, _method=method, _original=original,
+                     **kwargs):
+            counts[_method] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(baker.Solver, method, counting)
+    data = gallery.build(name).data
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data.to_json()))
+    u = ",".join(f"0.{k + 1}" for k in range(data.n))
+    code, _, _ = run(capsys, "solve", str(path), f"--u={u}")
+    assert code == 0
+    assert counts == {"_factor": 1, "matrices": 1}
 
 
 def test_solve_fd_flags_select_the_fd_jet(polar_file, capsys):

@@ -18,11 +18,13 @@ Regenerate with ``PYTHONPATH=src python tests/test_golden.py``. That changes
 a check: record which files changed, why, and the largest difference.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 
@@ -199,6 +201,56 @@ def test_output_matches_golden(case, manifest):
     assert code == manifest["exit_codes"][case]
     assert differences(_read(f"{case}.out"), out, floors) == []
     assert differences(_read(f"{case}.err", ""), err, floors) == []
+
+
+# Calls that end inside argparse, mixed into the replay below: a bad flag
+# (exit 2, usage on stderr), solve without --u (exit 2) and --help (exit 0).
+PARSER_EXITS = {
+    "bad-flag": ["solve", _config("polar"), "--u=0.1,0.2", "--bogus"],
+    "solve-without-u": ["solve", _config("polar")],
+    "help": ["--help"],
+}
+# one minimal call per subcommand, for the defaults parse_args fills in
+MINIMAL_ARGV = [
+    ["validate", "in.json"], ["solve", "in.json", "--u=0"],
+    ["verify", "in.json"], ["grid", "in.json", "--grid", "1:0:1:2"],
+    ["gallery", "polar"], ["dress", "in.json"],
+]
+
+
+def test_repeated_in_process_calls_match_the_first(monkeypatch):
+    # the parser is built once per process, so a call must leave nothing
+    # behind that changes the next one
+    calls = dict(CASES, **PARSER_EXITS)
+    parser = cli._PARSER
+    defaults = [vars(parser.parse_args(argv)) for argv in MINIMAL_ARGV]
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = {name: run_case(argv) for name, argv in calls.items()}
+    replay = list(calls)
+    random.Random(20261020).shuffle(replay)
+    for name in replay:
+        assert run_case(calls[name]) == first[name], name
+    assert built == []
+    assert cli._PARSER is parser
+    assert [vars(parser.parse_args(argv)) for argv in MINIMAL_ARGV] \
+        == defaults
+    codes = {name: first[name][0] for name in PARSER_EXITS}
+    assert codes == {"bad-flag": 2, "solve-without-u": 2, "help": 0}
+    assert first["bad-flag"][2].startswith("usage: spectral-coords ")
+    assert first["bad-flag"][2].endswith(
+        "error: unrecognized arguments: --bogus\n")
+    assert first["solve-without-u"][2].startswith(
+        "usage: spectral-coords solve")
+    assert first["solve-without-u"][2].endswith(
+        "error: the following arguments are required: --u\n")
+    assert first["help"][1].startswith("usage: spectral-coords")
 
 
 def test_every_golden_file_belongs_to_a_case(manifest):
