@@ -29,10 +29,12 @@ spec is solved through the R x R system I - V^T U (Woodbury identity; the
 degenerate-kernel method, Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, ch. 2). A raw kernel callable gets the dense
 (nN, nN) solve. Both routes gate on the same condition bound, taken from
-the 1- and inf-norms of M and its inverse accumulated over row blocks; the
-low-rank route forms those blocks from the factors and never holds M or
-its inverse whole, and takes K and the residual from the factors in
-O(nN R).
+the 1- and inf-norms of M and its inverse. The dense route sums them over
+row blocks. The low-rank route evaluates each factor once per solve, on s,
+the nodes and the tail scan together, and takes every value of F it needs
+from those rows; it sums the norms over the block layout of the terms,
+never holds M or its inverse whole, and takes K and the residual from the
+factors in O(nN R).
 """
 
 from __future__ import annotations
@@ -84,23 +86,15 @@ class Factor:
     def value(self, t):
         if self.family == "gaussian":
             return self._gaussian(t)[1]
-        t = np.asarray(t, dtype=float)
-        tau = (t - self.center) / self.width
-        out = np.zeros_like(tau)
-        inside = np.abs(tau) < 1.0
-        out[inside] = self.amp * np.exp(-1.0 / (1.0 - tau[inside] ** 2))
-        return out
+        return self._bump(t)[2]
 
     def dvalue(self, t):
         if self.family == "gaussian":
             d, g = self._gaussian(t)
             return -2.0 * self.width * d * g
-        t = np.asarray(t, dtype=float)
-        tau = (t - self.center) / self.width
-        out = np.zeros_like(tau)
-        inside = np.abs(tau) < 1.0
+        tau, inside, out = self._bump(t)
         ti = tau[inside]
-        out[inside] = self.value(t)[inside] * (-2.0 * ti / (1.0 - ti ** 2) ** 2) \
+        out[inside] = out[inside] * (-2.0 * ti / (1.0 - ti ** 2) ** 2) \
             / self.width
         return out
 
@@ -113,6 +107,17 @@ class Factor:
         d = np.minimum(np.maximum(np.asarray(t, dtype=float) - self.center,
                                   -bound), bound)
         return d, self.amp * np.exp(-self.width * d ** 2)
+
+    def _bump(self, t):
+        """(tau, |tau| < 1, the bump's values) with tau = (t - center) /
+        width. tau may overflow for a tiny width; it is then infinite, so
+        outside the support, where the value is exactly 0."""
+        with np.errstate(over="ignore"):
+            tau = (np.asarray(t, dtype=float) - self.center) / self.width
+        out = np.zeros_like(tau)
+        inside = np.abs(tau) < 1.0
+        out[inside] = self.amp * np.exp(-1.0 / (1.0 - tau[inside] ** 2))
+        return tau, inside, out
 
     def to_json(self) -> dict:
         key = "rate" if self.family == "gaussian" else "width"
@@ -142,6 +147,48 @@ class PhiEntry:
     second: Factor
 
 
+class _Layout:
+    """Block layout of a rank-R kernel F = sum_t X_t(x) Y_t(y) E_{a_t b_t}.
+
+    blocks lists (a_t, b_t) per term. In the Nystrom matrix M = I - U V^T,
+    rows (b, j) and columns (c, k), column t of U lies in row block b_t and
+    column t of V in column block a_t, so block (b, c) of U V^T is the sum
+    of the terms in feeds[b][c], and block c of V has nonzero columns
+    cols[c] only."""
+
+    def __init__(self, n: int, blocks):
+        self.n = n
+        self.blocks = tuple(blocks)
+        self.feeds = tuple(tuple(
+            tuple(t for t, ab in enumerate(self.blocks) if ab == (c, b))
+            for c in range(n)) for b in range(n))
+        self.cols = tuple(
+            tuple(t for t, (a, _) in enumerate(self.blocks) if a == c)
+            for c in range(n))
+
+    def kernel(self, X, Y, xs, ys) -> np.ndarray:
+        """F(x, y), (n, n, len x, len y), at the points x = xs and y = ys
+        (indices or slices) of the term rows (X, Y), summed in term order
+        as build_F sums it."""
+        x, y = X[:, xs], Y[:, ys]
+        out = np.zeros((self.n, self.n, x.shape[1], y.shape[1]))
+        for t, (a, b) in enumerate(self.blocks):
+            out[a, b] += x[t, :, None] * y[t, None, :]
+        return out
+
+    def factors(self, X, Y, w) -> tuple:
+        """Rank-R factors (U, V), each (n N, R), of the Nystrom operator
+        from the term rows (X, Y) at N nodes with weights w:
+        (U V^T)[(b, j), (c, k)] = w_k F_cb(q_k, q_j)."""
+        size = self.n * w.size
+        U = np.zeros((self.n, w.size, len(self.blocks)))
+        V = np.zeros_like(U)
+        for t, (a, b) in enumerate(self.blocks):
+            U[b, :, t] = Y[t]
+            V[a, :, t] = w * X[t]
+        return U.reshape(size, -1), V.reshape(size, -1)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     n: int
@@ -163,10 +210,13 @@ class KernelSpec:
         # signed rank-one terms (a, b, sign, fa, fb) with 0-based blocks:
         # F_ab(x, y) += sign * fa'(x - u^a) * fb(y - u^b), see the module
         # docstring; the order fixes the columns of factors()
-        object.__setattr__(self, "_terms", tuple(
+        terms = tuple(
             term for e in entries
             for term in ((e.i - 1, e.j - 1, 1.0, e.first, e.second),
-                         (e.j - 1, e.i - 1, -1.0, e.second, e.first))))
+                         (e.j - 1, e.i - 1, -1.0, e.second, e.first)))
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_layout",
+                           _Layout(n, [(a, b) for a, b, *_ in terms]))
 
     def to_json(self) -> dict:
         out = []
@@ -207,16 +257,32 @@ class KernelSpec:
         nodes q with weights w: (U V^T)[(b, j), (c, k)] = w_k F_cb(q_k, q_j),
         the block layout of solve_marchenko_kernel. Term t of the table
         gives column t, so R = 2 * len(entries)."""
-        u = np.asarray(u, dtype=float)
-        q = np.asarray(q, dtype=float)
-        N = q.size
-        U = np.zeros((self.n, N, len(self._terms)))
-        V = np.zeros_like(U)
-        x = [q - ua for ua in u]
-        for t, (a, b, sign, fa, fb) in enumerate(self._terms):
-            U[b, :, t] = fb.value(x[b])
-            V[a, :, t] = sign * w * fa.dvalue(x[a])
-        return U.reshape(self.n * N, -1), V.reshape(self.n * N, -1)
+        return self._layout.factors(
+            *self._rows(u, np.asarray(q, dtype=float)), np.asarray(w))
+
+    def _rows(self, u, points) -> tuple:
+        """Term rows (X, Y), each (R, len(points)): X[t] = sign_t *
+        fa_t'(points - u^a_t) and Y[t] = fb_t(points - u^b_t), one call of
+        each factor per term. A value that is not finite is an InputError
+        naming its entry and factor."""
+        x = [points - ua for ua in np.asarray(u, dtype=float)]
+        X = np.empty((len(self._terms), points.size))
+        Y = np.empty_like(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, (a, b, sign, fa, fb) in enumerate(self._terms):
+                X[t] = sign * fa.dvalue(x[a])
+                Y[t] = fb.value(x[b])
+        for rows, what, shift in ((X, "derivative", 0), (Y, "value", 1)):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:
+                # term 2e takes fa = first, term 2e + 1 takes fa = second
+                t = int(bad[0])
+                e = self.entries[t // 2]
+                raise InputError(
+                    f"phi entry ({e.i},{e.j}): the {what} of its "
+                    f"{('first', 'second')[(t + shift) % 2]} factor is not "
+                    "finite on the node grid")
+        return X, Y
 
 
 def build_F(spec: KernelSpec, u, s, sp) -> np.ndarray:
@@ -319,17 +385,24 @@ class MarchenkoSolution:
     residual: float
     condition: float
     _F_fn: object
+    _F_diag: np.ndarray = None  # F((s, q), s), if the solve kept it
 
     def k_at(self, sp) -> np.ndarray:
         """Nystrom natural interpolation of K(s, sp)."""
         # one kernel call: row 0 at s, then the nodes
-        F = self._F_fn(np.append(self.grid.s, self.q), np.atleast_1d(sp))
-        out = F[:, :, 0, :] + np.einsum("ack,k,cbkp->abp", self.K_nodes,
-                                        self.w, F[:, :, 1:, :])
+        out = self._interpolate(self._F_fn(np.append(self.grid.s, self.q),
+                                           np.atleast_1d(sp)))
         return out[:, :, 0] if np.isscalar(sp) or np.ndim(sp) == 0 else out
 
     def diagonal(self) -> np.ndarray:
-        return self.k_at(self.grid.s)
+        if self._F_diag is None:
+            return self.k_at(self.grid.s)
+        return self._interpolate(self._F_diag)[:, :, 0]
+
+    def _interpolate(self, F) -> np.ndarray:
+        """K(s, sp) from F[a, b, k, p] = F_ab(x_k, sp_p) at x = (s, q)."""
+        return F[:, :, 0, :] + np.einsum("ack,k,cbkp->abp", self.K_nodes,
+                                         self.w, F[:, :, 1:, :])
 
 
 def _inverse(A: np.ndarray) -> np.ndarray:
@@ -342,6 +415,7 @@ def _inverse(A: np.ndarray) -> np.ndarray:
 
 # Rows per block in _norms_1_inf: a block of the n = 3, N = 200 matrix
 # (64 x 600 doubles, 300 kB) stays in cache between its product and its sums.
+# _block_norms forms N-column blocks, _NORM_BLOCK * n rows at a time.
 _NORM_BLOCK = 64
 
 
@@ -357,6 +431,45 @@ def _norms_1_inf(rows, size: int) -> tuple:
         np.abs(block, out=block)
         col_sums += block.sum(axis=0)
         block.sum(axis=1, out=row_sums[r0:r1])
+    return col_sums.max(), row_sums.max()
+
+
+def _block_norms(A, V, columns, shift: float) -> tuple:
+    """(||S||_1, ||S||_inf) of S = shift I + A V^T, |shift| = 1, for A and
+    V of shape (nN, R) whose block (b, c) of A V^T involves only the
+    columns columns[b][c] (of A's row block b and V's row block c).
+
+    A block without columns adds nothing, or |shift| on the diagonal. One
+    column off the diagonal is a rank-one block, whose absolute row and
+    column sums are |a| sum|v| and |v| sum|a|. Any other block is formed in
+    chunks of _NORM_BLOCK * n rows, no more entries than a row block of
+    _norms_1_inf holds."""
+    n = len(columns)
+    N = A.shape[0] // n
+    A, V = A.reshape(n, N, -1), V.reshape(n, N, -1)
+    col_sums = np.zeros((n, N))
+    row_sums = np.zeros((n, N))
+    chunk = _NORM_BLOCK * n
+    for b in range(n):
+        for c in range(n):
+            cols = list(columns[b][c])
+            if not cols:
+                if b == c:
+                    col_sums[c] += 1.0
+                    row_sums[b] += 1.0
+            elif b != c and len(cols) == 1:
+                a, v = np.abs(A[b, :, cols[0]]), np.abs(V[c, :, cols[0]])
+                col_sums[c] += v * a.sum()
+                row_sums[b] += a * v.sum()
+            else:
+                Vc = V[c][:, cols].T
+                for r0 in range(0, N, chunk):
+                    block = A[b, r0:r0 + chunk][:, cols] @ Vc
+                    if b == c:
+                        _shift_diagonal(block, r0, shift)
+                    np.abs(block, out=block)
+                    col_sums[c] += block.sum(axis=0)
+                    row_sums[b, r0:r0 + chunk] += block.sum(axis=1)
     return col_sums.max(), row_sums.max()
 
 
@@ -382,13 +495,22 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
     """Nystrom solve for a kernel callable F_fn(q, q') -> (n, n, A, B).
 
     M is the (nN, nN) Nystrom matrix. Without `factors` it is assembled
-    from F_fn and inverted densely, and K = M^-1 rhs. With `factors`, a
-    callable (q, w) -> (U, V) giving M = I - U V^T in rank R
-    (KernelSpec.factors), only the R x R matrix C = I - V^T U is inverted:
-    with W = U C^-1, M^-1 = I + W V^T, so K = rhs + W (V^T rhs) and the
-    residual M K - rhs comes from the factors in O(nN R), and neither M
-    nor M^-1 is formed; their norms are summed over row blocks formed from
-    the factors in O((nN)^2 R) time and O(nN) memory.
+    from F_fn and inverted densely, and K = M^-1 rhs.
+
+    With `factors`, F_fn is the rank-R kernel sum_t X_t(x) Y_t(y)
+    E_{a_t b_t}, and factors is a pair (layout, rows): a _Layout of the
+    blocks (a_t, b_t), and rows(points) -> (X, Y), each (R, len(points)),
+    as KernelSpec._rows. rows is called once, on s, the nodes and the tail
+    scan, so each factor is evaluated once per solve; the tail scan, the
+    right-hand side F(s, q), the factors U, V of M = I - U V^T and
+    F((s, q), s) for diagonal() are all summed from those rows. Only the
+    R x R matrix C = I - V^T U is inverted: with W = U C^-1,
+    M^-1 = I + W V^T, so K = rhs + W (V^T rhs) and the residual M K - rhs
+    come from the factors in O(nN R), and neither M nor M^-1 is formed.
+    Their norms are summed block by block (_block_norms): block (b, c) of
+    U V^T holds at most two terms, and block (b, c) of W V^T uses only the
+    columns of V that are nonzero in block c, in O(n N^2 R) time and
+    O(nN) memory.
 
     Either way the reported condition is sqrt(kappa_1 * kappa_inf) with
     kappa_p = ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm
@@ -398,15 +520,24 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
     SingularFredholm."""
     q, w = grid.nodes()
     scan = grid.s_max + np.linspace(0.0, grid.tail_width, 17)
-    tail = float(np.max(np.abs(F_fn(scan, np.concatenate([q, scan])))))
+    N = grid.N
+    size = n * N
+    if factors is not None:
+        layout, rows = factors
+        # the points are s, then the nodes, then the tail scan
+        X, Y = rows(np.concatenate([[grid.s], q, scan]))
+    tail = float(np.max(np.abs(
+        F_fn(scan, np.concatenate([q, scan])) if factors is None
+        else layout.kernel(X, Y, slice(N + 1, None), slice(1, None)))))
     if not tail <= TAIL_BOUND:
         raise TailTooFat(
             f"|F| reaches {tail:.3e} beyond s_max = {grid.s_max}")
 
-    N = grid.N
-    size = n * N
-    F_s = F_fn(np.array([grid.s]), q)[:, :, 0, :]  # [a, b, j]
-    rhs = F_s.transpose(1, 2, 0).reshape(size, n)
+    # F_s[a, b, 0, j] = F_ab(s, q_j)
+    F_s = (F_fn(np.array([grid.s]), q) if factors is None
+           else layout.kernel(X, Y, slice(0, 1), slice(1, N + 1)))
+    rhs = F_s[:, :, 0, :].transpose(1, 2, 0).reshape(size, n)
+    F_diag = None
     if factors is None:
         # F_fn(q, q)[c, b, k, j] = F_cb(q_k, q_j), not kept past assembly
         M = np.eye(size) - (F_fn(q, q) * w[None, None, :, None]) \
@@ -418,19 +549,18 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
         sol = Minv @ rhs
         residual = float(np.max(np.abs(M @ sol - rhs)))
     else:
-        U, V = factors(q, w)
+        U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
         W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
-        # rows of -M = U V^T - I and of M^-1 = I + W V^T
-        cond = _condition(
-            _norms_1_inf(lambda r0, r1: _shift_diagonal(U[r0:r1] @ V.T, r0,
-                                                        -1.0), size),
-            _norms_1_inf(lambda r0, r1: _shift_diagonal(W[r0:r1] @ V.T, r0,
-                                                        1.0), size))
+        # -M = U V^T - I and M^-1 = I + W V^T
+        cond = _condition(_block_norms(U, V, layout.feeds, -1.0),
+                          _block_norms(W, V, (layout.cols,) * n, 1.0))
         sol = rhs + W @ (V.T @ rhs)
         residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
+        F_diag = layout.kernel(X, Y, slice(0, N + 1), slice(0, 1))
     K_nodes = sol.reshape(n, N, n).transpose(2, 0, 1)
     return MarchenkoSolution(grid=grid, q=q, w=w, K_nodes=K_nodes,
-                             residual=residual, condition=cond, _F_fn=F_fn)
+                             residual=residual, condition=cond, _F_fn=F_fn,
+                             _F_diag=F_diag)
 
 
 def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
@@ -440,7 +570,8 @@ def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
         return build_F(spec, u, np.asarray(qa)[:, None], np.asarray(qb)[None, :])
 
     return solve_marchenko_kernel(
-        F_fn, spec.n, grid, factors=lambda q, w: spec.factors(u, q, w))
+        F_fn, spec.n, grid,
+        factors=(spec._layout, lambda points: spec._rows(u, points)))
 
 
 def rotation_from_dressing(spec: KernelSpec, u, grid: Grid) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 import spectral_coords
 import spectral_coords.gallery as gallery
-from spectral_coords import baker
+from spectral_coords import baker, dressing
 from spectral_coords.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -546,6 +546,59 @@ def test_dress_fat_tail_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "dress", str(path))
     assert code == 4
     assert "s_max" in err
+
+
+def _edited_kernel(tmp_path, name, factor, key, value):
+    """tests/golden/kernel-{name}.json with one factor parameter of its
+    entry `factor` = (entry index, "first" or "second") set to value."""
+    with open(os.path.join(GOLDEN, f"kernel-{name}.json")) as fh:
+        spec = json.load(fh)
+    spec["phi"][factor[0]]["params"][factor[1]][key] = value
+    path = tmp_path / f"kernel-{name}-edited.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_dress_refuses_non_finite_kernel_values(tmp_path, capsys):
+    # the derivative of a gaussian of rate 1e308 is NaN; it used to reach
+    # the tail gate, which exited 4 with "|F| reaches nan"
+    path = _edited_kernel(tmp_path, "acceptance", (1, "second"), "rate",
+                          1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "dress", path)
+    assert code == 2 and out == ""
+    assert err == ("error: phi entry (1,2): the derivative of its second "
+                   "factor is not finite on the node grid\n")
+
+
+def test_dress_on_a_subnormal_bump_width_raises_no_warning(tmp_path,
+                                                            capsys):
+    # (t - center) / width overflows at every node, where the factor is 0.
+    # The grid does not resolve a bump this narrow, and dress still exits
+    # 0: refusing that needs a resolution gate of its own
+    path = _edited_kernel(tmp_path, "bump", (0, "second"), "width", 1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, "dress", path)
+    assert code == 0
+
+
+def test_dress_makes_eight_nystrom_solves_per_sample(capsys, monkeypatch):
+    # one solve per sample, and 2n + 1 at each of the three probes
+    calls = []
+    original = dressing.solve_marchenko_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dressing, "solve_marchenko_kernel", counting)
+    code, _, _ = run(capsys, "dress",
+                     os.path.join(GOLDEN, "kernel-acceptance.json"),
+                     "--grid", "1:-0.1:0.1:3")
+    assert code == 0
+    assert len(calls) == 24
 
 
 def test_dress_has_no_quadrature_rule_option(tmp_path, capsys):

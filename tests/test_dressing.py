@@ -110,6 +110,33 @@ def test_factor_requires_finite_parameters(field, bad):
             Factor(family, **params)
 
 
+def test_bump_with_an_overflowing_tau_is_exactly_zero_without_warnings():
+    # (t - center) / width overflows for a subnormal width; those points
+    # lie outside the support
+    f = Factor("bump", 0.4, 1e-320, -0.3)
+    t = np.array([-2.0, -0.3, 0.5, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, dvalue = f.value(t), f.dvalue(t)
+    assert value.tolist() == [0.0, 0.4 * math.exp(-1.0), 0.0, 0.0]
+    assert dvalue.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_bump_values_are_the_closed_form_bit_for_bit():
+    f = Factor("bump", 0.5, 2.0, -0.3)
+    t = np.linspace(-2.5, 2.0, 37)
+    tau = (t - f.center) / f.width
+    inside = np.abs(tau) < 1.0
+    ti = tau[inside]
+    value = np.zeros_like(t)
+    value[inside] = f.amp * np.exp(-1.0 / (1.0 - ti ** 2))
+    dvalue = np.zeros_like(t)
+    dvalue[inside] = value[inside] * (-2.0 * ti / (1.0 - ti ** 2) ** 2) \
+        / f.width
+    assert f.value(t).tobytes() == value.tobytes()
+    assert f.dvalue(t).tobytes() == dvalue.tobytes()
+
+
 def test_kernel_spec_rejects_bad_entries():
     g = Factor("gaussian", 1.0, 1.0, 0.0)
     with pytest.raises(InputError):
@@ -397,6 +424,36 @@ def test_non_finite_kernel_is_refused_as_fat_tail():
         solve_marchenko_kernel(F_fn, 1, Grid(s=-2.0, s_max=6.0, N=16))
 
 
+def test_non_finite_factor_values_are_an_input_error():
+    # rate 1e308 passes the parameter checks, but -2 rate overflows in the
+    # derivative, which is NaN where the gaussian is 0
+    base = make_spec3()
+    e = base.entries[1]
+    spec = KernelSpec(3, base.entries[:1] + (dataclasses.replace(
+        e, second=dataclasses.replace(e.second, width=1e308)),)
+        + base.entries[2:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"^phi entry \(1,2\): the "
+                           "derivative of its second factor is not finite"):
+            solve_marchenko(spec, np.zeros(3), GRID)
+
+
+def test_one_solve_evaluates_each_factor_once(monkeypatch):
+    # 6 entries give 12 terms, each with one derivative and one value row
+    # over s, the nodes and the tail scan; diagonal() reuses them
+    calls = {"value": 0, "dvalue": 0}
+    for name in calls:
+        def counting(self, t, _name=name, _original=getattr(Factor, name)):
+            calls[_name] += 1
+            return _original(self, t)
+        monkeypatch.setattr(Factor, name, counting)
+    sol = solve_marchenko(make_spec3(), np.array([0.1, -0.2, 0.05]), GRID)
+    assert calls == {"value": 12, "dvalue": 12}
+    sol.diagonal()
+    assert calls == {"value": 12, "dvalue": 12}
+
+
 def test_unit_mass_kernel_is_singular():
     # tuned so the tail integral of phi*psi from s is 1 to machine
     # precision, putting an eigenvalue of the discretized operator at 0
@@ -465,8 +522,8 @@ def test_exactly_singular_operator_raises_singular_fredholm():
 
 
 def test_exactly_singular_low_rank_system_raises_singular_fredholm():
-    # the kernel of the test above as a rank-one operator: U = V = e_k0,
-    # so C = I - V^T U = 0
+    # the kernel of the test above as one rank-one term X(x) Y(y) with
+    # X = 8 and Y = 1 at q_k0 only: U = V = e_k0, so C = I - V^T U = 0
     grid = TrapezoidGrid(s=0.0, s_max=1.0, N=9)
     q, w = grid.nodes()
     k0 = 4
@@ -476,16 +533,17 @@ def test_exactly_singular_low_rank_system_raises_singular_fredholm():
             & (np.asarray(qb)[None, :] == q[k0])
         return np.where(hit, 8.0, 0.0)[None, None]
 
-    def factors(q, w):
-        unit = np.zeros((grid.N, 1))
-        unit[k0] = 1.0
-        return unit, unit.copy()
+    def rows(points):
+        hit = (points == q[k0])[None, :]
+        return np.where(hit, 8.0, 0.0), np.where(hit, 1.0, 0.0)
 
-    U, V = factors(q, w)
+    layout = dressing._Layout(1, [(0, 0)])
+    U, V = layout.factors(*rows(q), w)
+    assert np.array_equal(U, V) and np.array_equal(U[:, 0], np.eye(grid.N)[k0])
     assert np.array_equal(np.eye(grid.N) - U @ V.T,
                           nystrom_matrix(F_fn, 1, grid))
     with pytest.raises(SingularFredholm):
-        solve_marchenko_kernel(F_fn, 1, grid, factors=factors)
+        solve_marchenko_kernel(F_fn, 1, grid, factors=(layout, rows))
 
 
 def layout_specs():
@@ -504,6 +562,12 @@ def layout_specs():
             PhiEntry(4, 4, g(0.35, 1.0, 0.0), g(0.15, 1.1, 0.3)))),
         "n1": KernelSpec(1, (
             PhiEntry(1, 1, g(0.3, 1.2, 0.4), g(0.25, 0.9, -0.2)),)),
+        # off the diagonal only: every block of U V^T is rank one or empty,
+        # and the diagonal blocks of M are the identity
+        "offdiag": KernelSpec(3, (
+            PhiEntry(1, 2, g(0.4, 1.0, 0.3), g(0.35, 1.1, 0.1)),
+            PhiEntry(1, 3, g(0.3, 1.1, -0.1), g(0.2, 1.0, 0.25)),
+            PhiEntry(2, 3, g(0.25, 0.9, 0.15), g(0.3, 1.2, -0.3)))),
         "empty": KernelSpec(2, ()),
     }
 
