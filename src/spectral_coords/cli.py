@@ -138,6 +138,20 @@ def _csv(header, table: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Gates:
+    """The worst value of each check and the breaches of its bound. A value
+    passes only if value <= bound, so a NaN breaches, and worst keeps it."""
+
+    def __init__(self):
+        self.worst, self.breaches = {}, []
+
+    def check(self, name: str, value: float, bound: float, **where) -> None:
+        self.worst[name] = float(np.maximum(self.worst.get(name, 0.0), value))
+        if not value <= bound:
+            self.breaches.append({"check": name, **where, "value": value,
+                                  "bound": bound})
+
+
 def _geometry_source(args: argparse.Namespace, solver: baker.Solver, exact):
     """(source, fd_first): what geometry differentiates and its
     first-derivative stencil. The source is `exact` (the solver itself, or
@@ -190,6 +204,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         eta0_sq = check_Q_residues(data)
         checks["q_residues"] = {"passed": True, "eta0_squared": eta0_sq}
+    except InputError:
+        raise  # a residue that overflows, as in check_regular: exit 2
     except SpectralError as exc:
         checks["q_residues"] = {"passed": False, "error": str(exc)}
         failures.append("q_residues")
@@ -245,34 +261,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     spread = geometry.epsilon_invariant(solver, samples,
                                         [rep.lame for rep in reports])
-    breaches, worst = [], {}
+    gates = _Gates()
     for rep in reports:
         x_scale = 1.0 + max(abs(v[0]) for v in rep.x)
         h_scale = 1.0 + max(rep.lame) ** 2
-        gates = {
-            "reality": (rep.imag_max, 1e-9 * x_scale),
-            "orthogonality": (rep.g_offdiag_max, 1e-6 * h_scale),
-            "eq1": (rep.eq1_max, tol * h_scale),
-            "eq2": (rep.eq2_max, tol * h_scale),
-            "eq4": (rep.eq4_max, tol * h_scale),
-            "eq5": (rep.eq5_max, tol * h_scale),
-            "riemann": (rep.riemann_max, tol * h_scale),
-            "immersion": (rep.immersion_max, tol * x_scale),
-        }
-        for name, (value, bound) in gates.items():
-            worst[name] = max(worst.get(name, 0.0), value)
-            if value > bound:
-                breaches.append({"check": name, "u": rep.u,
-                                 "value": value, "bound": bound})
-    eps_max = float(np.max(spread))
-    worst["epsilon_spread"] = eps_max
-    if eps_max > 1e-6:
-        breaches.append({"check": "epsilon_spread", "value": eps_max,
-                         "bound": 1e-6})
+        for name, value, bound in (
+                ("reality", rep.imag_max, 1e-9 * x_scale),
+                ("orthogonality", rep.g_offdiag_max, 1e-6 * h_scale),
+                ("eq1", rep.eq1_max, tol * h_scale),
+                ("eq2", rep.eq2_max, tol * h_scale),
+                ("eq4", rep.eq4_max, tol * h_scale),
+                ("eq5", rep.eq5_max, tol * h_scale),
+                ("riemann", rep.riemann_max, tol * h_scale),
+                ("immersion", rep.immersion_max, tol * x_scale)):
+            gates.check(name, value, bound, u=rep.u)
+    gates.check("epsilon_spread", float(np.max(spread)), 1e-6)
 
-    _emit(_dump({"samples": len(samples), "worst": worst,
-                 "breaches": breaches, "passed": not breaches}), args.out)
-    return EXIT_OK if not breaches else EXIT_CHECK
+    _emit(_dump({"samples": len(samples), "worst": gates.worst,
+                 "breaches": gates.breaches,
+                 "passed": not gates.breaches}), args.out)
+    return EXIT_OK if not gates.breaches else EXIT_CHECK
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -305,12 +313,14 @@ def cmd_dress(args: argparse.Namespace) -> int:
 
     betas = [beta_at(u) for u in samples]
     probes = sorted({0, len(samples) // 2, len(samples) - 1})
-    res4 = res5 = 0.0
+    gates = _Gates()
     for k in probes:
         eq4, eq5 = dressing.check_beta_systems(beta_at, spec.n, samples[k])
-        res4 = max(res4, float(max((abs(v) for v in eq4), default=0.0)))
-        res5 = max(res5, float(max((abs(v) for v in eq5), default=0.0)))
-    passed = bool(res4 <= tol and res5 <= tol)
+        # np.max keeps a NaN, as the gates do
+        gates.check("eq4", float(np.max(np.abs(eq4), initial=0.0)), tol)
+        gates.check("eq5", float(np.max(np.abs(eq5), initial=0.0)), tol)
+    res4, res5 = gates.worst["eq4"], gates.worst["eq5"]
+    passed = not gates.breaches
 
     if args.fmt == "csv":
         header = ([f"u{k + 1}" for k in range(spec.n)]

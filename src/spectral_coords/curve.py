@@ -402,18 +402,19 @@ def check_regular(data: SpectralData) -> RegularityReport:
 
 
 def check_Q_residues(data: SpectralData) -> float:
-    """Common residue of the differential at the Q points (must be > 0)."""
+    """Common residue of the differential at the Q points (must be > 0).
+    Each test passes only on a true comparison, so a NaN fails it."""
     if len(data.omega) != data.components:
         raise InputError("differentials missing; cannot check Q residues")
     values = [data.omega[cp.component].residue(cp.point) for cp in data.Q]
     first = values[0]
     for k, v in enumerate(values[1:], start=2):
-        if abs(v - first) > VALIDATOR_TOL * (1.0 + abs(first)):
+        if not abs(v - first) <= VALIDATOR_TOL * (1.0 + abs(first)):
             raise Mismatch(
                 f"residue at Q_1 is {first}, at Q_{k} is {v}")
-    if abs(first.imag) > VALIDATOR_TOL * (1.0 + abs(first)):
+    if not abs(first.imag) <= VALIDATOR_TOL * (1.0 + abs(first)):
         raise NonPositive(f"common Q residue {first} is not real")
-    if first.real <= 0:
+    if not first.real > 0:
         raise NonPositive(f"common Q residue {first.real} is not positive")
     return first.real
 

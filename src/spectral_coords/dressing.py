@@ -23,7 +23,7 @@ and for i = j both terms land on the same block, which antisymmetrizes
 the diagonal entry. Sign note: with the opposite sign on the second term
 the differential reduction identity fails, and with it the skew system.
 
-build_F sums the terms, and KernelSpec.factors writes one column per term,
+build_F sums the terms, and _Layout.factors writes one column per term,
 so a spec's Nystrom matrix is M = I - U V^T in rank R = len(terms), and a
 spec is solved through the R x R system I - V^T U (Woodbury identity; the
 degenerate-kernel method, Atkinson, The Numerical Solution of Integral
@@ -32,9 +32,13 @@ Equations of the Second Kind, ch. 2). A raw kernel callable gets the dense
 the 1- and inf-norms of M and its inverse. The dense route sums them over
 row blocks. The low-rank route evaluates each factor once per solve, on s,
 the nodes and the tail scan together, and takes every value of F it needs
-from those rows; it sums the norms over the block layout of the terms,
-never holds M or its inverse whole, and takes K and the residual from the
-factors in O(nN R).
+from those rows; it never holds M or its inverse whole, and takes K and
+the residual from the factors in O(nN R). Its gate has two stages: a
+triangle-inequality screen from the factors, in O(nN R), passes the solve
+when it is at most half the limit; only otherwise are the exact norms
+summed over the block layout of the terms, in O(n N^2 R), and judged as the
+dense route judges them. The screen is never below the exact value, so the
+two stages refuse exactly the solves the exact value alone refuses.
 """
 
 from __future__ import annotations
@@ -55,8 +59,13 @@ TAIL_BOUND = 1e-10
 # kappa_p = ||M||_p ||M^-1||_p taken from the inverse that also gives K.
 # Since ||A||_2 <= sqrt(||A||_1 ||A||_inf), this bounds the 2-norm
 # condition number from above: every matrix an SVD gate at this limit
-# refuses is refused here too.
+# refuses is refused here too. A spec's solve screens first with an upper
+# bound on that value and forms the exact one only when the screen exceeds
+# _SCREEN_MARGIN times the limit (solve_marchenko_kernel).
 FREDHOLM_CONDITION_LIMIT = 1e12
+# share of the limit below which the low-rank screen passes a solve, the
+# same margin as baker's screen
+_SCREEN_MARGIN = 0.5
 # central-difference step and (s, s') sample axis of check_F_equations
 F_CHECK_STEP = 1e-4
 F_CHECK_POINTS = (-1.5, -0.75, 0.0, 0.75, 1.5)
@@ -209,7 +218,7 @@ class KernelSpec:
         object.__setattr__(self, "entries", entries)
         # signed rank-one terms (a, b, sign, fa, fb) with 0-based blocks:
         # F_ab(x, y) += sign * fa'(x - u^a) * fb(y - u^b), see the module
-        # docstring; the order fixes the columns of factors()
+        # docstring; the order fixes the columns of _Layout.factors
         terms = tuple(
             term for e in entries
             for term in ((e.i - 1, e.j - 1, 1.0, e.first, e.second),
@@ -251,14 +260,6 @@ class KernelSpec:
                 first=_factor_from_json(base, params.get("first")),
                 second=_factor_from_json(base, params.get("second"))))
         return cls(n=json_int(obj["n"], "n"), entries=entries)
-
-    def factors(self, u, q, w) -> tuple:
-        """Rank-R factors (U, V), each (n N, R), of the Nystrom operator at
-        nodes q with weights w: (U V^T)[(b, j), (c, k)] = w_k F_cb(q_k, q_j),
-        the block layout of solve_marchenko_kernel. Term t of the table
-        gives column t, so R = 2 * len(entries)."""
-        return self._layout.factors(
-            *self._rows(u, np.asarray(q, dtype=float)), np.asarray(w))
 
     def _rows(self, u, points) -> tuple:
         """Term rows (X, Y), each (R, len(points)): X[t] = sign_t *
@@ -383,9 +384,17 @@ class MarchenkoSolution:
     w: np.ndarray
     K_nodes: np.ndarray  # [a, b, j] = K_ab(s, q_j)
     residual: float
-    condition: float
+    _condition: object  # the gate value, or a callable that computes it
     _F_fn: object
     _F_diag: np.ndarray = None  # F((s, q), s), if the solve kept it
+
+    @property
+    def condition(self) -> float:
+        """sqrt(kappa_1 * kappa_inf) of the Nystrom matrix. A solve that
+        the screen passed computes it here, on first read."""
+        if callable(self._condition):
+            self._condition = self._condition()
+        return self._condition
 
     def k_at(self, sp) -> np.ndarray:
         """Nystrom natural interpolation of K(s, sp)."""
@@ -480,6 +489,30 @@ def _shift_diagonal(block: np.ndarray, r0: int, by: float) -> np.ndarray:
     return block
 
 
+def _screen(U, V, W) -> float:
+    """Upper bound on sqrt(kappa_1 * kappa_inf) of M = I - U V^T, with
+    M^-1 = I + W V^T, in O(nN R): by the triangle inequality
+    ||X V^T||_1 <= max_j sum_t |V_jt| ||X_:t||_1,
+    ||X V^T||_inf <= max_i sum_t |X_it| ||V_:t||_1 and ||I +- Y|| <= 1 + ||Y||,
+    taken with X = U for M and X = W for M^-1. NaN if W is not finite."""
+    aV = np.abs(V)
+    bound = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X in (U, W):
+            aX = np.abs(X)
+            bound *= (1.0 + float(np.max(aV @ aX.sum(axis=0)))) \
+                * (1.0 + float(np.max(aX @ aV.sum(axis=0))))
+    return math.sqrt(bound)
+
+
+def _low_rank_condition(layout: _Layout, U, V, W) -> float:
+    """_condition of M = I - U V^T and M^-1 = I + W V^T from the exact
+    norms, summed over the block layout (_block_norms)."""
+    # -M = U V^T - I
+    return _condition(_block_norms(U, V, layout.feeds, -1.0),
+                      _block_norms(W, V, (layout.cols,) * layout.n, 1.0))
+
+
 def _condition(norms_M: tuple, norms_Minv: tuple) -> float:
     """sqrt(kappa_1 * kappa_inf) from ((||M||_1, ||M||_inf),
     (||M^-1||_1, ||M^-1||_inf)); SingularFredholm above the limit."""
@@ -507,10 +540,19 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
     R x R matrix C = I - V^T U is inverted: with W = U C^-1,
     M^-1 = I + W V^T, so K = rhs + W (V^T rhs) and the residual M K - rhs
     come from the factors in O(nN R), and neither M nor M^-1 is formed.
-    Their norms are summed block by block (_block_norms): block (b, c) of
-    U V^T holds at most two terms, and block (b, c) of W V^T uses only the
-    columns of V that are nonzero in block c, in O(n N^2 R) time and
-    O(nN) memory.
+    The gate has two stages. The screen (_screen) bounds the gate value
+    from above in O(nN R) from U, V and W; at most _SCREEN_MARGIN *
+    FREDHOLM_CONDITION_LIMIT, the solve passes. Otherwise the exact norms
+    are summed block by block (_block_norms): block (b, c) of U V^T holds
+    at most two terms, and block (b, c) of W V^T uses only the columns of
+    V that are nonzero in block c, in O(n N^2 R) time and O(nN) memory.
+    The exact value is judged as on the dense route, with the same
+    message. The refusals are those of the exact value alone: a solve the
+    screen passes has an exact value at most the screen's, up to rounding
+    of relative size about nN R eps in either, far below the factor 2 of
+    the margin, so the exact stage would have passed it too. A NaN screen
+    never passes. After a passing screen, `condition` is computed from U,
+    V and W on its first read.
 
     Either way the reported condition is sqrt(kappa_1 * kappa_inf) with
     kappa_p = ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm
@@ -551,15 +593,15 @@ def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
     else:
         U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
         W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
-        # -M = U V^T - I and M^-1 = I + W V^T
-        cond = _condition(_block_norms(U, V, layout.feeds, -1.0),
-                          _block_norms(W, V, (layout.cols,) * n, 1.0))
+        cond = functools.partial(_low_rank_condition, layout, U, V, W)
+        if not _screen(U, V, W) <= _SCREEN_MARGIN * FREDHOLM_CONDITION_LIMIT:
+            cond = cond()
         sol = rhs + W @ (V.T @ rhs)
         residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
         F_diag = layout.kernel(X, Y, slice(0, N + 1), slice(0, 1))
     K_nodes = sol.reshape(n, N, n).transpose(2, 0, 1)
     return MarchenkoSolution(grid=grid, q=q, w=w, K_nodes=K_nodes,
-                             residual=residual, condition=cond, _F_fn=F_fn,
+                             residual=residual, _condition=cond, _F_fn=F_fn,
                              _F_diag=F_diag)
 
 

@@ -255,7 +255,8 @@ def _series_residue(f: FactoredRational, p: complex) -> complex:
     t = z - p, so the residue is the t^(m-1) coefficient of the product.
     Each factor expands as a binomial series, (t + d)^k = sum c_j t^j with
     c_0 = d^k and c_j = c_(j-1) (k - j + 1) / (j d), and the series are
-    convolved up to degree m - 1.
+    convolved up to degree m - 1. A c_0 that overflows (a large
+    multiplicity k) is an InputError.
     """
     m = -f.order_at(p)
     if m <= 0:
@@ -267,7 +268,11 @@ def _series_residue(f: FactoredRational, p: complex) -> complex:
         d = p - r
         if abs(d) <= 20.0 * ROOT_MERGE_TOL * (1.0 + abs(p)):
             raise NoIsolation(f"pole {p} not isolated from root {r}")
-        series = [d ** k]
+        try:
+            series = [d ** k]
+        except OverflowError:
+            raise InputError(f"residue at {p} overflows: factor at {r} "
+                             f"with multiplicity {k}") from None
         for j in range(1, m):
             series.append(series[-1] * (k - j + 1) / (j * d))
         product = [sum(product[i] * series[n - i] for i in range(n + 1))

@@ -11,7 +11,7 @@ import pytest
 
 import spectral_coords
 import spectral_coords.gallery as gallery
-from spectral_coords import baker, dressing
+from spectral_coords import baker, cli, dressing
 from spectral_coords.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -204,6 +204,61 @@ def test_non_finite_solver_output_is_a_singular_system(tmp_path, capsys, name,
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_non_finite_q_residue_fails_closed(tmp_path, capsys):
+    # the residue of omega_0 at Q is NaN; validate used to list q_residues
+    # as passed with eta0^2 = NaN, and verify exited 0 with a NaN
+    # epsilon_spread
+    config = _edited_golden_config(tmp_path, "example1", ("omega", 0, "scale"),
+                                   [1e308, 1e308])
+    code, out, _ = run(capsys, "validate", config)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks["q_residues"]["passed"] is False
+    assert "q_residues" in json.loads(out)["failures"]
+    code, out, err = run(capsys, "verify", config, "--grid", "1:-0.1:0.1:2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, value", [
+    # a gluing point's residue overflows
+    (("omega", 1, "factors", 4, 1), 2 ** 70),
+    # a factor (z - 0.01)^-200 beside omega_0's three simple poles: only
+    # the residue at Q_1 = 0 overflows, inside the q_residues check; the
+    # gluings' residues stay below 1e88
+    (("omega", 0, "factors"), [[[0.0, 0.0], -1],
+                               [[0.3779644730092272, 0.0], -1],
+                               [[-0.3779644730092272, 0.0], -1],
+                               [[0.01, 0.0], -200]]),
+])
+def test_overflowing_residue_multiplicity_is_input_error(tmp_path, capsys,
+                                                         path, value):
+    # d ** k overflows in the residue series; validate died with an
+    # uncaught OverflowError
+    config = _edited_golden_config(tmp_path, "example1", path, value)
+    code, out, err = run(capsys, "validate", config)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows" in err
+
+
+def test_gates_breach_on_nan_and_keep_it_as_worst():
+    gates = cli._Gates()
+    gates.check("eq4", 1e-9, 1e-4, u=[0.1])
+    gates.check("eq4", math.nan, 1e-4, u=[0.2])
+    gates.check("eq4", 2e-9, 1e-4, u=[0.3])
+    gates.check("eq5", 0.0, 1e-4)
+    gates.check("eq5", 3e-4, 1e-4)
+    assert math.isnan(gates.worst["eq4"]) and gates.worst["eq5"] == 3e-4
+    assert len(gates.breaches) == 2
+    nan, big = gates.breaches
+    assert nan["check"] == "eq4" and nan["u"] == [0.2]
+    assert math.isnan(nan["value"]) and nan["bound"] == 1e-4
+    assert big == {"check": "eq5", "value": 3e-4, "bound": 1e-4}
 
 
 def test_verify_passes_on_small_grid(polar_file, capsys):

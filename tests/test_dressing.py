@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import spectral_coords.gallery as gallery
-from spectral_coords import dressing, geometry
+from spectral_coords import cli, dressing, geometry
 from spectral_coords.baker import Solver
 from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
                                       _cumulative_integral, _gauss_legendre,
@@ -578,7 +579,7 @@ def test_factors_reproduce_the_nystrom_matrix(name):
     grid = Grid(s=-2.0, s_max=7.0, N=48)
     u = np.random.default_rng(31).uniform(-0.3, 0.3, size=spec.n)
     q, w = grid.nodes()
-    U, V = spec.factors(u, q, w)
+    U, V = spec._layout.factors(*spec._rows(u, q), w)
     size = spec.n * grid.N
     assert U.shape == V.shape == (size, 2 * len(spec.entries))
     ref = nystrom_matrix(spec_kernel(spec, u), spec.n, grid)
@@ -618,7 +619,7 @@ def test_blockwise_gate_matches_the_explicit_matrices(N):
         + [perturbed_spec3(gen) for _ in range(4)]
     for spec in specs:
         u = gen.uniform(-0.3, 0.3, size=spec.n)
-        U, V = spec.factors(u, q, w)
+        U, V = spec._layout.factors(*spec._rows(u, q), w)
         M = np.eye(spec.n * N) - U @ V.T
         Minv = np.linalg.inv(M)
         ref = math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
@@ -676,6 +677,83 @@ def test_routes_share_the_gate_across_an_amplitude_sweep():
             assert abs(low - dense) <= 1e-10 * dense
             peak = max(peak, dense)
     assert peak > 1e5
+
+
+def scaled_spec3(lam) -> KernelSpec:
+    """The acceptance spec with every factor amplitude times lam."""
+    return KernelSpec(3, [
+        PhiEntry(e.i, e.j, dataclasses.replace(e.first, amp=e.first.amp * lam),
+                 dataclasses.replace(e.second, amp=e.second.amp * lam))
+        for e in make_spec3().entries])
+
+
+def test_screen_bounds_the_exact_gate_value():
+    # the triangle-inequality screen is an upper bound on the exact
+    # sqrt(kappa_1 kappa_inf); rounding may put it 1e-14 below a bound
+    # that is tight, as for the off-diagonal spec's rank-one blocks
+    gen = np.random.default_rng(2323)
+    cases = [(spec, Grid(s=-2.0, s_max=7.0, N=48))
+             for spec in layout_specs().values()]
+    cases += [(perturbed_spec3(gen), Grid(s=-2.0, s_max=7.0, N=200))
+              for _ in range(4)]
+    cases += [(scaled_spec3(lam), Grid(s=-2.0, s_max=7.0, N=200))
+              for lam in (1.0, 3.0, 4.7426, 8.0, 12.0)]
+    for spec, grid in cases:
+        u = gen.uniform(-0.3, 0.3, size=spec.n)
+        q, w = grid.nodes()
+        U, V = spec._layout.factors(*spec._rows(u, q), w)
+        W = U @ np.linalg.inv(np.eye(U.shape[1]) - V.T @ U)
+        exact = dressing._low_rank_condition(spec._layout, U, V, W)
+        assert dressing._screen(U, V, W) >= exact * (1.0 - 1e-14)
+
+
+def count_block_norms(monkeypatch) -> list:
+    calls = []
+    block_norms = dressing._block_norms
+
+    def counted(*args):
+        calls.append(1)
+        return block_norms(*args)
+
+    monkeypatch.setattr(dressing, "_block_norms", counted)
+    return calls
+
+
+@pytest.mark.parametrize("limit", [5e3, 1e3])
+def test_a_screen_that_does_not_clear_falls_back_to_the_exact_gate(
+        monkeypatch, limit):
+    # at lambda = 12 the exact gate value is about 1.04e3 and the screen
+    # about 1.5e4, so half of either limit does not clear the screen
+    spec, grid, u = scaled_spec3(12.0), Grid(s=-2.0, s_max=7.0, N=200), \
+        np.zeros(3)
+    exact = solve_marchenko(spec, u, grid).condition
+    assert 1e3 < exact < 1.1e3
+    calls = count_block_norms(monkeypatch)
+    monkeypatch.setattr(dressing, "FREDHOLM_CONDITION_LIMIT", limit)
+    if limit > exact:
+        sol = solve_marchenko(spec, u, grid)
+        assert len(calls) == 2
+        assert sol.condition == exact
+    else:
+        with pytest.raises(SingularFredholm) as info:
+            solve_marchenko(spec, u, grid)
+        assert len(calls) == 2
+        assert str(info.value) == f"discretized operator condition {exact:.3e}"
+
+
+def test_dress_forms_no_block_until_condition_is_read(monkeypatch, capsys):
+    calls = count_block_norms(monkeypatch)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                        "kernel-acceptance.json")
+    assert cli.main(["dress", path]) == 0
+    capsys.readouterr()
+    assert not calls
+    sol = solve_marchenko(make_spec3(), np.zeros(3),
+                          Grid(s=-2.0, s_max=6.0, N=200))
+    assert not calls
+    first = sol.condition
+    assert len(calls) == 2
+    assert sol.condition == first and len(calls) == 2
 
 
 def test_solution_matches_a_direct_solve():

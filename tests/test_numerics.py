@@ -128,6 +128,13 @@ class TestResidues:
             assert abs(total) <= 1e-12 * (1 + max(
                 abs(w.residue(p)) for p, _ in w.divisor()))
 
+    @pytest.mark.parametrize("k", [2000, 2 ** 70])
+    def test_overflowing_factor_power_is_input_error(self, k):
+        # (z - 5)^k at the pole z = 0: 5^2000 overflows a complex power
+        w = RationalDifferential(FactoredRational(1.0, [(0.0, -1), (5.0, k)]))
+        with pytest.raises(InputError, match="overflows"):
+            w.residue(0.0)
+
     def test_divisor_degree_is_minus_two(self):
         w = RationalDifferential(
             FactoredRational(1.0, [(0.0, 1), (2.0, -2), (-1.0j, -3)]))
