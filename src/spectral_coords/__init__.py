@@ -16,8 +16,7 @@ from .curve import (ComponentAnsatz, CountingReport, CurvePoint,
                     check_involution, check_Q_residues, check_regular,
                     same_curve_point, validate_counting)
 from .dressing import (Factor, Grid, KernelSpec, LameResult,
-                       MarchenkoSolution, PhiEntry, build_F,
-                       check_beta_systems, check_F_equations,
+                       MarchenkoSolution, PhiEntry, check_beta_systems,
                        lame_from_rotation, rotation_from_dressing,
                        solve_marchenko, solve_marchenko_kernel)
 from .errors import (CountMismatch, DegenerateParameters, DivisorMismatch,

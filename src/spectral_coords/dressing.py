@@ -9,9 +9,9 @@ matrix kernel F is formed, the Marchenko-type equation
 
 is solved by Nystrom collocation on a truncated grid, and K(s, s) yields
 a rotation-coefficient matrix whose compatibility systems are then checked
-by finite differences over u. Those derivatives, like the ones that check
-F's own structure systems, come from geometry's central-difference stencil
-(`geometry._fd_jet`), and the systems from `geometry.rotation_systems`.
+by finite differences over u. Those derivatives come from geometry's
+central-difference stencil (`geometry._fd_jet`), and the systems from
+`geometry.rotation_systems`.
 
 A spec's F is a sum of signed rank-one terms, tabulated once per spec:
 entry (i, j) with factors (first, second) gives, in this order,
@@ -23,22 +23,20 @@ and for i = j both terms land on the same block, which antisymmetrizes
 the diagonal entry. Sign note: with the opposite sign on the second term
 the differential reduction identity fails, and with it the skew system.
 
-build_F sums the terms, and _Layout.factors writes one column per term,
-so a spec's Nystrom matrix is M = I - U V^T in rank R = len(terms), and a
-spec is solved through the R x R system I - V^T U (Woodbury identity; the
-degenerate-kernel method, Atkinson, The Numerical Solution of Integral
-Equations of the Second Kind, ch. 2). A raw kernel callable gets the dense
-(nN, nN) solve. Both routes gate on the same condition bound, taken from
-the 1- and inf-norms of M and its inverse. The dense route sums them over
-row blocks. The low-rank route evaluates each factor once per solve, on s,
-the nodes and the tail scan together, and takes every value of F it needs
-from those rows; it never holds M or its inverse whole, and takes K and
-the residual from the factors in O(nN R). Its gate has two stages: a
-triangle-inequality screen from the factors, in O(nN R), passes the solve
-when it is at most half the limit; only otherwise are the exact norms
-summed over the block layout of the terms, in O(n N^2 R), and judged as the
-dense route judges them. The screen is never below the exact value, so the
-two stages refuse exactly the solves the exact value alone refuses.
+_Layout.kernel sums the terms, and _Layout.factors writes one column per
+term, so a spec's Nystrom matrix is M = I - U V^T in rank R = len(terms),
+and a spec is solved through the R x R system I - V^T U (Woodbury
+identity; the degenerate-kernel method, Atkinson, The Numerical Solution
+of Integral Equations of the Second Kind, ch. 2). The solve evaluates each
+factor once, on s, the nodes and the tail scan together, and takes every
+value of F it needs from those rows; it never holds M or its inverse
+whole, and takes K and the residual from the factors in O(nN R). It gates
+on a condition bound taken from the 1- and inf-norms of M and its
+inverse, in two stages: a triangle-inequality screen from the factors, in
+O(nN R), passes the solve when it is at most half the limit; only
+otherwise are the exact norms summed over the block layout of the terms,
+in O(n N^2 R), and judged. The screen is never below the exact value, so
+the two stages refuse exactly the solves the exact value alone refuses.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .numerics import json_int, json_real
 
 TAIL_BOUND = 1e-10
 # Gate on sqrt(kappa_1 * kappa_inf) of the Nystrom matrix, with
-# kappa_p = ||M||_p ||M^-1||_p taken from the inverse that also gives K.
+# kappa_p = ||M||_p ||M^-1||_p taken from the factors that also give K.
 # Since ||A||_2 <= sqrt(||A||_1 ||A||_inf), this bounds the 2-norm
 # condition number from above: every matrix an SVD gate at this limit
 # refuses is refused here too. A spec's solve screens first with an upper
@@ -66,9 +64,6 @@ FREDHOLM_CONDITION_LIMIT = 1e12
 # share of the limit below which the low-rank screen passes a solve, the
 # same margin as baker's screen
 _SCREEN_MARGIN = 0.5
-# central-difference step and (s, s') sample axis of check_F_equations
-F_CHECK_STEP = 1e-4
-F_CHECK_POINTS = (-1.5, -0.75, 0.0, 0.75, 1.5)
 # central-difference step in u of check_beta_systems
 BETA_CHECK_STEP = 1e-3
 
@@ -177,8 +172,7 @@ class _Layout:
 
     def kernel(self, X, Y, xs, ys) -> np.ndarray:
         """F(x, y), (n, n, len x, len y), at the points x = xs and y = ys
-        (indices or slices) of the term rows (X, Y), summed in term order
-        as build_F sums it."""
+        (indices or slices) of the term rows (X, Y), summed in term order."""
         x, y = X[:, xs], Y[:, ys]
         out = np.zeros((self.n, self.n, x.shape[1], y.shape[1]))
         for t, (a, b) in enumerate(self.blocks):
@@ -286,54 +280,6 @@ class KernelSpec:
         return X, Y
 
 
-def build_F(spec: KernelSpec, u, s, sp) -> np.ndarray:
-    """Kernel matrix F(s, s'; u), the sum of the spec's signed terms.
-    Scalar s, s' give an (n, n) matrix; array arguments broadcast to
-    trailing axes."""
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
-    sp = np.asarray(sp, dtype=float)
-    shape = np.broadcast_shapes(s.shape, sp.shape)
-    out = np.zeros((spec.n, spec.n) + shape)
-    x = [s - ua for ua in u]
-    y = [sp - ub for ub in u]
-    for a, b, sign, fa, fb in spec._terms:
-        block = out[a, b, ...]  # a view, also for scalar s and s'
-        block += sign * fa.dvalue(x[a]) * fb.value(y[b])
-    return out
-
-
-def check_F_equations(spec: KernelSpec, u) -> tuple:
-    """(max residual of the linear symmetry system, max residual of the
-    differential reduction) over the grid F_CHECK_POINTS^2 of (s, s').
-
-    dF/du^k, dF/ds and dF/ds' at each grid point come from one
-    geometry._fd_jet over (u, s, s'), second order with step F_CHECK_STEP;
-    the reduction's swapped term dF(s', s)/ds' is read from the jet at the
-    mirrored grid point."""
-    n = spec.n
-    fd = FDConfig(h=F_CHECK_STEP, order=2)
-
-    def F_at(points):
-        return np.stack([build_F(spec, p[:n], p[n], p[n + 1])
-                         for p in points])
-
-    dF = {(s, sp): _fd_jet(F_at, np.append(u, (s, sp)), 1, fd, (n, n)).dx.real
-          for s in F_CHECK_POINTS for sp in F_CHECK_POINTS}
-    res10 = 0.0
-    res12 = 0.0
-    for (s, sp), d in dF.items():
-        dFds, dFdsp = d[n], d[n + 1]
-        for k in range(n):
-            resid = d[k].copy()
-            resid[k, :] += dFds[k, :]
-            resid[:, k] += dFdsp[:, k]
-            res10 = max(res10, float(np.max(np.abs(resid))))
-        dF_swap = dF[sp, s][n + 1]
-        res12 = max(res12, float(np.max(np.abs(dFdsp + dF_swap.T))))
-    return res10, res12
-
-
 # ---------------------------------------------------------------------------
 # quadrature grid and Marchenko solve
 # ---------------------------------------------------------------------------
@@ -385,8 +331,7 @@ class MarchenkoSolution:
     K_nodes: np.ndarray  # [a, b, j] = K_ab(s, q_j)
     residual: float
     _condition: object  # the gate value, or a callable that computes it
-    _F_fn: object
-    _F_diag: np.ndarray = None  # F((s, q), s), if the solve kept it
+    _F_diag: np.ndarray  # [a, b, k, 0] = F_ab(x_k, s) at x = (s, q)
 
     @property
     def condition(self) -> float:
@@ -396,22 +341,11 @@ class MarchenkoSolution:
             self._condition = self._condition()
         return self._condition
 
-    def k_at(self, sp) -> np.ndarray:
-        """Nystrom natural interpolation of K(s, sp)."""
-        # one kernel call: row 0 at s, then the nodes
-        out = self._interpolate(self._F_fn(np.append(self.grid.s, self.q),
-                                           np.atleast_1d(sp)))
-        return out[:, :, 0] if np.isscalar(sp) or np.ndim(sp) == 0 else out
-
     def diagonal(self) -> np.ndarray:
-        if self._F_diag is None:
-            return self.k_at(self.grid.s)
-        return self._interpolate(self._F_diag)[:, :, 0]
-
-    def _interpolate(self, F) -> np.ndarray:
-        """K(s, sp) from F[a, b, k, p] = F_ab(x_k, sp_p) at x = (s, q)."""
-        return F[:, :, 0, :] + np.einsum("ack,k,cbkp->abp", self.K_nodes,
-                                         self.w, F[:, :, 1:, :])
+        """K(s, s), by Nystrom interpolation from K_nodes."""
+        F = self._F_diag
+        return (F[:, :, 0, :] + np.einsum("ack,k,cbkp->abp", self.K_nodes,
+                                          self.w, F[:, :, 1:, :]))[:, :, 0]
 
 
 def _inverse(A: np.ndarray) -> np.ndarray:
@@ -422,25 +356,10 @@ def _inverse(A: np.ndarray) -> np.ndarray:
             f"discretized operator is singular ({exc})") from exc
 
 
-# Rows per block in _norms_1_inf: a block of the n = 3, N = 200 matrix
-# (64 x 600 doubles, 300 kB) stays in cache between its product and its sums.
-# _block_norms forms N-column blocks, _NORM_BLOCK * n rows at a time.
+# _block_norms forms N-column blocks _NORM_BLOCK * n rows at a time: at
+# n = 3, N = 200 a chunk (192 x 200 doubles, 300 kB) stays in cache between
+# its product and its sums.
 _NORM_BLOCK = 64
-
-
-def _norms_1_inf(rows, size: int) -> tuple:
-    """(||A||_1, ||A||_inf) of a (size, size) matrix A given by row blocks:
-    rows(r0, r1) returns rows r0:r1 of A or of -A as a new array, which is
-    overwritten here. At most _NORM_BLOCK rows of A are held at once."""
-    col_sums = np.zeros(size)
-    row_sums = np.empty(size)
-    for r0 in range(0, size, _NORM_BLOCK):
-        r1 = min(r0 + _NORM_BLOCK, size)
-        block = rows(r0, r1)
-        np.abs(block, out=block)
-        col_sums += block.sum(axis=0)
-        block.sum(axis=1, out=row_sums[r0:r1])
-    return col_sums.max(), row_sums.max()
 
 
 def _block_norms(A, V, columns, shift: float) -> tuple:
@@ -451,8 +370,7 @@ def _block_norms(A, V, columns, shift: float) -> tuple:
     A block without columns adds nothing, or |shift| on the diagonal. One
     column off the diagonal is a rank-one block, whose absolute row and
     column sums are |a| sum|v| and |v| sum|a|. Any other block is formed in
-    chunks of _NORM_BLOCK * n rows, no more entries than a row block of
-    _norms_1_inf holds."""
+    chunks of _NORM_BLOCK * n rows."""
     n = len(columns)
     N = A.shape[0] // n
     A, V = A.reshape(n, N, -1), V.reshape(n, N, -1)
@@ -523,97 +441,70 @@ def _condition(norms_M: tuple, norms_Minv: tuple) -> float:
     return cond
 
 
-def solve_marchenko_kernel(F_fn, n: int, grid: Grid,
-                           factors=None) -> MarchenkoSolution:
-    """Nystrom solve for a kernel callable F_fn(q, q') -> (n, n, A, B).
+def solve_marchenko_kernel(rows, n: int, grid: Grid,
+                           layout: _Layout) -> MarchenkoSolution:
+    """Nystrom solve for the rank-R kernel F = sum_t X_t(x) Y_t(y)
+    E_{a_t b_t} on n axes.
 
-    M is the (nN, nN) Nystrom matrix. Without `factors` it is assembled
-    from F_fn and inverted densely, and K = M^-1 rhs.
+    layout is a _Layout of the blocks (a_t, b_t), and rows(points) ->
+    (X, Y), each (R, len(points)), as KernelSpec._rows. rows is called
+    once, on s, the nodes and the tail scan, so each factor is evaluated
+    once per solve; the tail scan, the right-hand side F(s, q), the
+    factors U, V of the Nystrom matrix M = I - U V^T and F((s, q), s) for
+    diagonal() are all summed from those rows. Only the R x R matrix
+    C = I - V^T U is inverted: with W = U C^-1, M^-1 = I + W V^T, so
+    K = rhs + W (V^T rhs) and the residual M K - rhs come from the factors
+    in O(nN R), and neither M nor M^-1 is formed.
 
-    With `factors`, F_fn is the rank-R kernel sum_t X_t(x) Y_t(y)
-    E_{a_t b_t}, and factors is a pair (layout, rows): a _Layout of the
-    blocks (a_t, b_t), and rows(points) -> (X, Y), each (R, len(points)),
-    as KernelSpec._rows. rows is called once, on s, the nodes and the tail
-    scan, so each factor is evaluated once per solve; the tail scan, the
-    right-hand side F(s, q), the factors U, V of M = I - U V^T and
-    F((s, q), s) for diagonal() are all summed from those rows. Only the
-    R x R matrix C = I - V^T U is inverted: with W = U C^-1,
-    M^-1 = I + W V^T, so K = rhs + W (V^T rhs) and the residual M K - rhs
-    come from the factors in O(nN R), and neither M nor M^-1 is formed.
     The gate has two stages. The screen (_screen) bounds the gate value
     from above in O(nN R) from U, V and W; at most _SCREEN_MARGIN *
     FREDHOLM_CONDITION_LIMIT, the solve passes. Otherwise the exact norms
     are summed block by block (_block_norms): block (b, c) of U V^T holds
     at most two terms, and block (b, c) of W V^T uses only the columns of
     V that are nonzero in block c, in O(n N^2 R) time and O(nN) memory.
-    The exact value is judged as on the dense route, with the same
-    message. The refusals are those of the exact value alone: a solve the
-    screen passes has an exact value at most the screen's, up to rounding
-    of relative size about nN R eps in either, far below the factor 2 of
-    the margin, so the exact stage would have passed it too. A NaN screen
+    The refusals are those of the exact value alone: a solve the screen
+    passes has an exact value at most the screen's, up to rounding of
+    relative size about nN R eps in either, far below the factor 2 of the
+    margin, so the exact stage would have passed it too. A NaN screen
     never passes. After a passing screen, `condition` is computed from U,
     V and W on its first read.
 
-    Either way the reported condition is sqrt(kappa_1 * kappa_inf) with
-    kappa_p = ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm
-    condition number (||A||_2 <= sqrt(||A||_1 ||A||_inf), Higham, Accuracy
-    and Stability of Numerical Algorithms, sec. 6) and at most nN times it.
-    A singular M or C, or a bound above FREDHOLM_CONDITION_LIMIT, raises
+    The reported condition is sqrt(kappa_1 * kappa_inf) with kappa_p =
+    ||M||_p ||M^-1||_p. That is an upper bound on the 2-norm condition
+    number (||A||_2 <= sqrt(||A||_1 ||A||_inf), Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 6) and at most nN times it.
+    A singular C, or a bound above FREDHOLM_CONDITION_LIMIT, raises
     SingularFredholm."""
     q, w = grid.nodes()
     scan = grid.s_max + np.linspace(0.0, grid.tail_width, 17)
     N = grid.N
-    size = n * N
-    if factors is not None:
-        layout, rows = factors
-        # the points are s, then the nodes, then the tail scan
-        X, Y = rows(np.concatenate([[grid.s], q, scan]))
+    # the points are s, then the nodes, then the tail scan
+    X, Y = rows(np.concatenate([[grid.s], q, scan]))
     tail = float(np.max(np.abs(
-        F_fn(scan, np.concatenate([q, scan])) if factors is None
-        else layout.kernel(X, Y, slice(N + 1, None), slice(1, None)))))
+        layout.kernel(X, Y, slice(N + 1, None), slice(1, None)))))
     if not tail <= TAIL_BOUND:
         raise TailTooFat(
             f"|F| reaches {tail:.3e} beyond s_max = {grid.s_max}")
 
     # F_s[a, b, 0, j] = F_ab(s, q_j)
-    F_s = (F_fn(np.array([grid.s]), q) if factors is None
-           else layout.kernel(X, Y, slice(0, 1), slice(1, N + 1)))
-    rhs = F_s[:, :, 0, :].transpose(1, 2, 0).reshape(size, n)
-    F_diag = None
-    if factors is None:
-        # F_fn(q, q)[c, b, k, j] = F_cb(q_k, q_j), not kept past assembly
-        M = np.eye(size) - (F_fn(q, q) * w[None, None, :, None]) \
-            .transpose(1, 3, 0, 2).reshape(size, size)
-        Minv = _inverse(M)
-        cond = _condition(
-            _norms_1_inf(lambda r0, r1: M[r0:r1].copy(), size),
-            _norms_1_inf(lambda r0, r1: Minv[r0:r1].copy(), size))
-        sol = Minv @ rhs
-        residual = float(np.max(np.abs(M @ sol - rhs)))
-    else:
-        U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
-        W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
-        cond = functools.partial(_low_rank_condition, layout, U, V, W)
-        if not _screen(U, V, W) <= _SCREEN_MARGIN * FREDHOLM_CONDITION_LIMIT:
-            cond = cond()
-        sol = rhs + W @ (V.T @ rhs)
-        residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
-        F_diag = layout.kernel(X, Y, slice(0, N + 1), slice(0, 1))
-    K_nodes = sol.reshape(n, N, n).transpose(2, 0, 1)
-    return MarchenkoSolution(grid=grid, q=q, w=w, K_nodes=K_nodes,
-                             residual=residual, _condition=cond, _F_fn=F_fn,
-                             _F_diag=F_diag)
+    F_s = layout.kernel(X, Y, slice(0, 1), slice(1, N + 1))
+    rhs = F_s[:, :, 0, :].transpose(1, 2, 0).reshape(n * N, n)
+    U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
+    W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
+    cond = functools.partial(_low_rank_condition, layout, U, V, W)
+    if not _screen(U, V, W) <= _SCREEN_MARGIN * FREDHOLM_CONDITION_LIMIT:
+        cond = cond()
+    sol = rhs + W @ (V.T @ rhs)
+    residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
+    return MarchenkoSolution(
+        grid=grid, q=q, w=w, K_nodes=sol.reshape(n, N, n).transpose(2, 0, 1),
+        residual=residual, _condition=cond,
+        _F_diag=layout.kernel(X, Y, slice(0, N + 1), slice(0, 1)))
 
 
 def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
-    u = np.asarray(u, dtype=float)
-
-    def F_fn(qa, qb):
-        return build_F(spec, u, np.asarray(qa)[:, None], np.asarray(qb)[None, :])
-
-    return solve_marchenko_kernel(
-        F_fn, spec.n, grid,
-        factors=(spec._layout, lambda points: spec._rows(u, points)))
+    return solve_marchenko_kernel(lambda points: spec._rows(u, points),
+                                  spec.n, grid, spec._layout)
 
 
 def rotation_from_dressing(spec: KernelSpec, u, grid: Grid) -> np.ndarray:

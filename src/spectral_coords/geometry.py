@@ -361,9 +361,6 @@ class GeometryReport:
     riemann_max: float
     immersion_max: float
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
 
 def build_report(source, u,
                  fd_first: FDConfig = FIRST_DERIVATIVE_FD) -> GeometryReport:

@@ -6,7 +6,6 @@ stated tolerance.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -19,15 +18,15 @@ from spectral_coords.curve import (ComponentAnsatz, check_involution,
 from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
                                       check_beta_systems,
                                       lame_from_rotation,
-                                      rotation_from_dressing,
-                                      solve_marchenko_kernel)
+                                      rotation_from_dressing)
 from spectral_coords.errors import (CountMismatch, DivisorMismatch,
                                     InputError, Mismatch, NonPositive,
                                     SpectralError)
 from spectral_coords.geometry import (FIRST_DERIVATIVE_FD, build_report,
                                       epsilon_invariant, lame, metric)
 from spectral_coords.numerics import (FactoredRational, RationalDifferential)
-from test_dressing import TrapezoidGrid
+from test_dressing import (TrapezoidGrid, rank_one_exact, rank_one_K,
+                           rank_one_pair, solve_rank_one)
 
 rng = np.random.default_rng(20240817)
 
@@ -289,34 +288,22 @@ def _gaussian_spec(n):
 
 
 def test_criterion_10_dressing(capsys):
-    phi = Factor("gaussian", 0.4, 1.3, 0.5)
-    psi = Factor("gaussian", 0.3, 0.9, -0.2)
-
-    def F_fn(qa, qb):
-        rows = phi.value(np.asarray(qa))[:, None]
-        cols = psi.value(np.asarray(qb))[None, :]
-        return (rows * cols)[None, None]
-
-    def exact(s, sp):
-        r = phi.width + psi.width
-        cm = (phi.width * phi.center + psi.width * psi.center) / r
-        pref = phi.amp * psi.amp * math.exp(
-            -phi.width * psi.width * (phi.center - psi.center) ** 2 / r)
-        m = pref * math.sqrt(math.pi / r) * 0.5 * math.erfc(
-            math.sqrt(r) * (s - cm))
-        return phi.value(s) * psi.value(sp) / (1.0 - m)
+    # F(x, y) = phi(x) psi(y), whose K has a closed form in erfc
+    phi, psi = rank_one_pair()
 
     # start the grid inside the kernel support so the compared values are
     # of order 1e-2 and the absolute gate is a real constraint
-    sol = solve_marchenko_kernel(F_fn, 1, Grid(s=-0.5, s_max=6.0, N=200))
+    sol = solve_rank_one(phi, psi, Grid(s=-0.5, s_max=6.0, N=200))
     oracle_gap = max(
-        abs(float(sol.k_at(sp)[0, 0]) - exact(sol.grid.s, sp))
+        abs(rank_one_K(sol, phi, psi, sp)
+            - rank_one_exact(phi, psi, sol.grid.s, sp))
         for sp in (-0.5, 0.0, 1.0, 2.5))
 
     def trap_err(N):
         g = TrapezoidGrid(s=-0.5, s_max=6.0, N=N)
-        s = solve_marchenko_kernel(F_fn, 1, g)
-        return abs(float(s.diagonal()[0, 0]) - exact(g.s, g.s))
+        s = solve_rank_one(phi, psi, g)
+        return abs(float(s.diagonal()[0, 0])
+                   - rank_one_exact(phi, psi, g.s, g.s))
 
     ratio = trap_err(100) / trap_err(200)
 

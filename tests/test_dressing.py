@@ -12,8 +12,7 @@ from spectral_coords import cli, dressing, geometry
 from spectral_coords.baker import Solver
 from spectral_coords.dressing import (Factor, Grid, KernelSpec, PhiEntry,
                                       _cumulative_integral, _gauss_legendre,
-                                      build_F, check_beta_systems,
-                                      check_F_equations, lame_from_rotation,
+                                      check_beta_systems, lame_from_rotation,
                                       rotation_from_dressing, solve_marchenko,
                                       solve_marchenko_kernel)
 from spectral_coords.errors import (IncompatibleField, InputError,
@@ -83,7 +82,8 @@ def test_gaussian_far_tail_is_exactly_zero_without_overflow():
         assert not np.any(f.value(np.array([1e200, -1e300, 1e308])))
         spec = make_spec3()
         for s, sp in ((1e200, 0.0), (0.0, 1e200), (1e200, -1e200)):
-            assert not np.any(build_F(spec, np.zeros(3), s, sp))
+            assert not np.any(reference_F(spec, np.zeros(3), s, sp))
+            assert not np.any(spec_F(spec, np.zeros(3), s, sp))
 
 
 def test_bump_is_compactly_supported():
@@ -176,9 +176,11 @@ def test_kernel_spec_indices_must_be_integers(key, value):
 
 def reference_F(spec, u, s, sp) -> np.ndarray:
     """F(s, s') written out block by block from the factors, independently
-    of the spec's term table; blocks with no entry are 0."""
+    of the spec's term table; blocks with no entry are 0. Scalar s, s' give
+    an (n, n) matrix; array arguments broadcast to trailing axes."""
+    s, sp = np.asarray(s, dtype=float), np.asarray(sp, dtype=float)
     entries = {(e.i - 1, e.j - 1): e for e in spec.entries}
-    F = np.zeros((spec.n, spec.n))
+    F = np.zeros((spec.n, spec.n) + np.broadcast_shapes(s.shape, sp.shape))
     for a in range(spec.n):
         for b in range(spec.n):
             x, y = s - u[a], sp - u[b]
@@ -195,11 +197,18 @@ def reference_F(spec, u, s, sp) -> np.ndarray:
     return F
 
 
+def spec_F(spec, u, s, sp) -> np.ndarray:
+    """The (n, n) matrix F(s, s') that a solve sums: the spec's term rows
+    at the scalars s and s', through _Layout.kernel."""
+    X, Y = spec._rows(u, np.array([s, sp], dtype=float))
+    return spec._layout.kernel(X, Y, slice(0, 1), slice(1, 2))[:, :, 0, 0]
+
+
 def test_build_F_entry_conventions():
     spec = make_spec2()
     u = np.array([0.1, -0.2])
     s, sp = 0.4, -0.3
-    F = build_F(spec, u, s, sp)
+    F = spec_F(spec, u, s, sp)
     entries = {(e.i, e.j): e for e in spec.entries}
     e12 = entries[1, 2]
     assert F[0, 1] == pytest.approx(
@@ -218,91 +227,74 @@ def test_build_F_entry_conventions():
             present[e.i - 1, e.j - 1] = present[e.j - 1, e.i - 1] = True
         u = gen.uniform(-0.3, 0.3, size=spec.n)
         for s, sp in gen.uniform(-1.5, 1.5, size=(4, 2)):
-            F = build_F(spec, u, s, sp)
+            F = spec_F(spec, u, s, sp)
             ref = reference_F(spec, u, s, sp)
             assert np.max(np.abs(F - ref)) <= 1e-15 * np.max(np.abs(ref))
             assert not np.any(F[~present])
 
 
-def test_build_F_broadcasts():
-    spec = make_spec2()
-    qa = np.linspace(-1, 1, 4)[:, None]
-    qb = np.linspace(-1, 1, 3)[None, :]
-    F = build_F(spec, np.zeros(2), qa, qb)
-    assert F.shape == (2, 2, 4, 3)
+# central-difference step and (s, s') sample axis of explicit_F_residuals
+F_CHECK_STEP = 1e-4
+F_CHECK_POINTS = (-1.5, -0.75, 0.0, 0.75, 1.5)
 
 
-@pytest.mark.parametrize("u", [np.zeros(3), np.array([0.3, -0.1, 0.2])])
-def test_kernel_satisfies_both_structure_systems(u):
-    res10, res12 = check_F_equations(make_spec3(), u)
-    assert res10 < 1e-6
-    assert res12 < 1e-6
-
-
-def test_wrong_off_diagonal_sign_breaks_reduction(monkeypatch):
-    # flipping the sign of the lower block makes the reduction residual
-    # jump from FD noise to order one; each entry's symmetry equation
-    # involves that entry alone, so that system still holds
-    spec = make_spec2()
-    exact = build_F
-
-    def flipped(*args):
-        out = exact(*args)
-        out[1, 0] *= -1.0
-        return out
-
-    assert check_F_equations(spec, np.zeros(2))[1] < 1e-6
-    monkeypatch.setattr(dressing, "build_F", flipped)
-    res10, res12 = check_F_equations(spec, np.zeros(2))
-    assert res10 < 1e-6
-    assert res12 > 1e-3
-
-
-def test_kernel_at_doubled_u_breaks_the_symmetry_system(monkeypatch):
-    # F(2u) doubles every u-derivative, so dF/du^k no longer cancels the
-    # s- and s'-derivatives; the reduction, in (s, s') alone, still holds
-    exact = build_F
-    monkeypatch.setattr(dressing, "build_F", lambda spec, u, s, sp:
-                        exact(spec, 2.0 * np.asarray(u), s, sp))
-    res10, res12 = check_F_equations(make_spec3(), np.array([0.1, -0.2, 0.05]))
-    assert res10 > 1e-3
-    assert res12 < 1e-6
-
-
-def explicit_F_residuals(spec, u):
-    """check_F_equations written out with its own central differences in
-    each variable, the form the stencil version replaced."""
+def explicit_F_residuals(spec, u, F=spec_F):
+    """(max residual of the linear symmetry system, max residual of the
+    differential reduction) of F(spec, u, s, s') over the grid
+    F_CHECK_POINTS^2 of (s, s'), by central differences in each variable."""
     n = spec.n
-    h = dressing.F_CHECK_STEP
+    h = F_CHECK_STEP
     res10 = res12 = 0.0
-    for s in dressing.F_CHECK_POINTS:
-        for sp in dressing.F_CHECK_POINTS:
+    for s in F_CHECK_POINTS:
+        for sp in F_CHECK_POINTS:
             dFdu = np.stack([
-                (build_F(spec, u + h * e, s, sp) - build_F(spec, u - h * e, s, sp))
+                (F(spec, u + h * e, s, sp) - F(spec, u - h * e, s, sp))
                 / (2 * h)
                 for e in np.eye(n)])
-            dFds = (build_F(spec, u, s + h, sp) - build_F(spec, u, s - h, sp)) \
-                / (2 * h)
-            dFdsp = (build_F(spec, u, s, sp + h) - build_F(spec, u, s, sp - h)) \
-                / (2 * h)
+            dFds = (F(spec, u, s + h, sp) - F(spec, u, s - h, sp)) / (2 * h)
+            dFdsp = (F(spec, u, s, sp + h) - F(spec, u, s, sp - h)) / (2 * h)
             for k in range(n):
                 resid = dFdu[k].copy()
                 resid[k, :] += dFds[k, :]
                 resid[:, k] += dFdsp[:, k]
                 res10 = max(res10, float(np.max(np.abs(resid))))
-            dF_swap = (build_F(spec, u, sp, s + h) - build_F(spec, u, sp, s - h)) \
-                / (2 * h)
+            dF_swap = (F(spec, u, sp, s + h) - F(spec, u, sp, s - h)) / (2 * h)
             res12 = max(res12, float(np.max(np.abs(dFdsp + dF_swap.T))))
     return res10, res12
 
 
-@pytest.mark.parametrize("make_spec", [make_spec2, make_spec3])
-def test_F_check_matches_explicit_differences(make_spec):
-    spec = make_spec()
-    for u in np.random.default_rng(7).uniform(-0.3, 0.3, size=(3, spec.n)):
-        new = check_F_equations(spec, u)
-        old = explicit_F_residuals(spec, u)
-        assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
+@pytest.mark.parametrize("u", [np.zeros(3), np.array([0.3, -0.1, 0.2])])
+def test_kernel_satisfies_both_structure_systems(u):
+    res10, res12 = explicit_F_residuals(make_spec3(), u)
+    assert res10 < 1e-6
+    assert res12 < 1e-6
+
+
+def test_wrong_off_diagonal_sign_breaks_reduction():
+    # flipping the sign of the lower block makes the reduction residual
+    # jump from FD noise to order one; each entry's symmetry equation
+    # involves that entry alone, so that system still holds
+    spec = make_spec2()
+
+    def flipped(*args):
+        out = spec_F(*args)
+        out[1, 0] *= -1.0
+        return out
+
+    assert explicit_F_residuals(spec, np.zeros(2))[1] < 1e-6
+    res10, res12 = explicit_F_residuals(spec, np.zeros(2), flipped)
+    assert res10 < 1e-6
+    assert res12 > 1e-3
+
+
+def test_kernel_at_doubled_u_breaks_the_symmetry_system():
+    # F(2u) doubles every u-derivative, so dF/du^k no longer cancels the
+    # s- and s'-derivatives; the reduction, in (s, s') alone, still holds
+    res10, res12 = explicit_F_residuals(
+        make_spec3(), np.array([0.1, -0.2, 0.05]),
+        lambda spec, u, s, sp: spec_F(spec, 2.0 * np.asarray(u), s, sp))
+    assert res10 > 1e-3
+    assert res12 < 1e-6
 
 
 # -- quadrature grids -------------------------------------------------------
@@ -355,12 +347,22 @@ def rank_one_pair():
     return phi, psi
 
 
-def rank_one_F(phi, psi):
-    def F_fn(qa, qb):
-        rows = phi.value(np.asarray(qa))[:, None]
-        cols = psi.value(np.asarray(qb))[None, :]
-        return (rows * cols)[None, None]
-    return F_fn
+# one axis and one term X(x) Y(y) on block (0, 0)
+RANK_ONE = dressing._Layout(1, [(0, 0)])
+
+
+def solve_rank_one(phi, psi, grid):
+    """Marchenko solve for F(x, y) = phi(x) psi(y) on one axis."""
+    return solve_marchenko_kernel(
+        lambda points: (phi.value(points)[None], psi.value(points)[None]),
+        1, grid, RANK_ONE)
+
+
+def rank_one_K(sol, phi, psi, sp) -> float:
+    """K(s, s') by Nystrom interpolation from the nodes:
+    F(s, s') + sum_k w_k K(s, q_k) F(q_k, s')."""
+    inner = np.sum(sol.w * sol.K_nodes[0, 0] * phi.value(sol.q))
+    return float((phi.value(sol.grid.s) + inner) * psi.value(sp))
 
 
 def rank_one_exact(phi, psi, s, sp):
@@ -379,28 +381,21 @@ def rank_one_exact(phi, psi, s, sp):
 def test_rank_one_solution_matches_closed_form():
     phi, psi = rank_one_pair()
     grid = Grid(s=-2.0, s_max=6.0, N=200)
-    sol = solve_marchenko_kernel(rank_one_F(phi, psi), 1, grid)
+    sol = solve_rank_one(phi, psi, grid)
     assert sol.residual < 1e-12
     worst = 0.0
     for sp in (-2.0, -1.0, 0.0, 0.7, 2.5):
-        got = float(sol.k_at(sp)[0, 0])
+        got = rank_one_K(sol, phi, psi, sp)
         worst = max(worst, abs(got - rank_one_exact(phi, psi, grid.s, sp)))
     assert worst < 1e-8
 
 
-def test_interpolation_reproduces_nodes():
-    sol = solve_marchenko(make_spec2(), np.zeros(2), GRID)
-    j = 57
-    assert np.allclose(sol.k_at(sol.q[j]), sol.K_nodes[:, :, j], atol=1e-10)
-
-
 def test_trapezoid_error_halves_twice_per_refinement():
     phi, psi = rank_one_pair()
-    F_fn = rank_one_F(phi, psi)
 
     def err(N):
         grid = TrapezoidGrid(s=-2.0, s_max=6.0, N=N)
-        sol = solve_marchenko_kernel(F_fn, 1, grid)
+        sol = solve_rank_one(phi, psi, grid)
         return abs(float(sol.diagonal()[0, 0])
                    - rank_one_exact(phi, psi, grid.s, grid.s))
 
@@ -418,11 +413,12 @@ def test_fat_tail_is_refused():
 
 def test_non_finite_kernel_is_refused_as_fat_tail():
     # NaN compares false, so the gate has to accept only tails known small
-    def F_fn(qa, qb):
-        return np.full((1, 1, np.size(qa), np.size(qb)), np.nan)
+    def rows(points):
+        return (np.full((1, points.size), np.nan),) * 2
 
     with pytest.raises(TailTooFat):
-        solve_marchenko_kernel(F_fn, 1, Grid(s=-2.0, s_max=6.0, N=16))
+        solve_marchenko_kernel(rows, 1, Grid(s=-2.0, s_max=6.0, N=16),
+                               RANK_ONE)
 
 
 def test_non_finite_factor_values_are_an_input_error():
@@ -462,8 +458,7 @@ def test_unit_mass_kernel_is_singular():
     phi = Factor("gaussian", a1, 1.0, 0.0)
     psi = Factor("gaussian", 1.0 / (a1 * math.sqrt(math.pi / 2.0)), 1.0, 0.0)
     with pytest.raises(SingularFredholm):
-        solve_marchenko_kernel(rank_one_F(phi, psi), 1,
-                               Grid(s=-5.0, s_max=9.0, N=200))
+        solve_rank_one(phi, psi, Grid(s=-5.0, s_max=9.0, N=200))
 
 
 def nystrom_matrix(F_fn, n, grid):
@@ -486,8 +481,31 @@ def perturbed_spec3(gen) -> KernelSpec:
 
 
 def spec_kernel(spec, u):
-    return lambda qa, qb: build_F(spec, u, np.asarray(qa)[:, None],
-                                  np.asarray(qb)[None, :])
+    return lambda qa, qb: reference_F(spec, u, np.asarray(qa)[:, None],
+                                      np.asarray(qb)[None, :])
+
+
+def explicit_condition(M) -> float:
+    """sqrt(kappa_1 kappa_inf) from np.linalg.norm of M and
+    np.linalg.inv(M)."""
+    Minv = np.linalg.inv(M)
+    return math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
+                     * np.linalg.norm(Minv, 1) * np.linalg.norm(Minv, np.inf))
+
+
+def explicit_solve(spec, u, grid) -> tuple:
+    """(K_nodes, K(s, s), sqrt(kappa_1 kappa_inf)) from the explicit
+    Nystrom matrix M of reference_F: np.linalg.solve for K at the nodes
+    and its interpolation at s' = s."""
+    F_fn, n = spec_kernel(spec, u), spec.n
+    q, w = grid.nodes()
+    M = nystrom_matrix(F_fn, n, grid)
+    rhs = F_fn(np.array([grid.s]), q)[:, :, 0, :].transpose(1, 2, 0) \
+        .reshape(n * grid.N, n)
+    K = np.linalg.solve(M, rhs).reshape(n, grid.N, n).transpose(2, 0, 1)
+    F = F_fn(np.append(grid.s, q), np.array([grid.s]))[:, :, :, 0]
+    diagonal = F[:, :, 0] + np.einsum("ack,k,cbk->ab", K, w, F[:, :, 1:])
+    return K, diagonal, explicit_condition(M)
 
 
 @pytest.mark.parametrize("N", [32, 200])
@@ -504,9 +522,11 @@ def test_reported_condition_bounds_the_two_norm_condition(N):
         assert 1.0 <= sol.condition / kappa2 <= 3 * N
 
 
-def test_exactly_singular_operator_raises_singular_fredholm():
+def test_exactly_singular_low_rank_system_raises_singular_fredholm():
     # trapezoid weights on [0, 1] with 9 nodes are 1/8 (1/16 at the ends),
-    # so F = 8 at the node pair (k0, k0) makes column k0 of M exactly zero
+    # so F = 8 at the node pair (k0, k0) makes column k0 of M exactly zero.
+    # As one rank-one term X(x) Y(y) with X = 8 and Y = 1 at q_k0 only,
+    # U = V = e_k0, so C = I - V^T U = 0
     grid = TrapezoidGrid(s=0.0, s_max=1.0, N=9)
     q, w = grid.nodes()
     k0 = 4
@@ -517,34 +537,17 @@ def test_exactly_singular_operator_raises_singular_fredholm():
             & (np.asarray(qb)[None, :] == q[k0])
         return np.where(hit, 8.0, 0.0)[None, None]
 
-    assert not np.any(nystrom_matrix(F_fn, 1, grid)[:, k0])
-    with pytest.raises(SingularFredholm):
-        solve_marchenko_kernel(F_fn, 1, grid)
-
-
-def test_exactly_singular_low_rank_system_raises_singular_fredholm():
-    # the kernel of the test above as one rank-one term X(x) Y(y) with
-    # X = 8 and Y = 1 at q_k0 only: U = V = e_k0, so C = I - V^T U = 0
-    grid = TrapezoidGrid(s=0.0, s_max=1.0, N=9)
-    q, w = grid.nodes()
-    k0 = 4
-
-    def F_fn(qa, qb):
-        hit = (np.asarray(qa)[:, None] == q[k0]) \
-            & (np.asarray(qb)[None, :] == q[k0])
-        return np.where(hit, 8.0, 0.0)[None, None]
-
     def rows(points):
         hit = (points == q[k0])[None, :]
         return np.where(hit, 8.0, 0.0), np.where(hit, 1.0, 0.0)
 
-    layout = dressing._Layout(1, [(0, 0)])
-    U, V = layout.factors(*rows(q), w)
+    U, V = RANK_ONE.factors(*rows(q), w)
     assert np.array_equal(U, V) and np.array_equal(U[:, 0], np.eye(grid.N)[k0])
-    assert np.array_equal(np.eye(grid.N) - U @ V.T,
-                          nystrom_matrix(F_fn, 1, grid))
+    M = nystrom_matrix(F_fn, 1, grid)
+    assert not np.any(M[:, k0])
+    assert np.array_equal(np.eye(grid.N) - U @ V.T, M)
     with pytest.raises(SingularFredholm):
-        solve_marchenko_kernel(F_fn, 1, grid, factors=(layout, rows))
+        solve_marchenko_kernel(rows, 1, grid, RANK_ONE)
 
 
 def layout_specs():
@@ -592,20 +595,20 @@ def test_factors_reproduce_the_nystrom_matrix(name):
 
 @pytest.mark.parametrize("N", [32, 200])
 def test_low_rank_and_dense_routes_agree(N):
+    # the dense route is explicit_solve's, on the whole Nystrom matrix
     gen = np.random.default_rng(6060 + N)
     grid = Grid(s=-2.0, s_max=7.0, N=N)
     for _ in range(3):
         spec = perturbed_spec3(gen)
         u = gen.uniform(-0.3, 0.3, size=3)
         low = solve_marchenko(spec, u, grid)
-        dense = solve_marchenko_kernel(spec_kernel(spec, u), 3, grid)
-        scale = np.max(np.abs(dense.K_nodes))
-        assert np.max(np.abs(low.K_nodes - dense.K_nodes)) <= 1e-12 * scale
-        beta, beta_ref = low.diagonal().T, dense.diagonal().T
+        K_ref, diagonal, condition = explicit_solve(spec, u, grid)
+        scale = np.max(np.abs(K_ref))
+        assert np.max(np.abs(low.K_nodes - K_ref)) <= 1e-12 * scale
+        beta, beta_ref = low.diagonal().T, diagonal.T
         assert np.max(np.abs(beta - beta_ref)) \
             <= 1e-12 * np.max(np.abs(beta_ref))
-        assert abs(low.condition - dense.condition) \
-            <= 1e-12 * dense.condition
+        assert abs(low.condition - condition) <= 1e-12 * condition
 
 
 @pytest.mark.parametrize("N", [32, 200])
@@ -620,11 +623,7 @@ def test_blockwise_gate_matches_the_explicit_matrices(N):
     for spec in specs:
         u = gen.uniform(-0.3, 0.3, size=spec.n)
         U, V = spec._layout.factors(*spec._rows(u, q), w)
-        M = np.eye(spec.n * N) - U @ V.T
-        Minv = np.linalg.inv(M)
-        ref = math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
-                        * np.linalg.norm(Minv, 1)
-                        * np.linalg.norm(Minv, np.inf))
+        ref = explicit_condition(np.eye(spec.n * N) - U @ V.T)
         sol = solve_marchenko(spec, u, grid)
         assert abs(sol.condition - ref) <= 1e-14 * ref
         assert sol.residual <= 1e-12
@@ -650,32 +649,23 @@ def test_low_rank_solve_holds_no_dense_matrix():
 
 def test_routes_share_the_gate_across_an_amplitude_sweep():
     # F scales with lambda^2; the gate value peaks near lambda = 4.7426,
-    # where an eigenvalue of the discretized operator passes close to 1
-    base = make_spec3()
+    # where an eigenvalue of the discretized operator passes close to 1;
+    # the solve refuses exactly where the explicit matrices' value exceeds
+    # the limit
     grid = Grid(s=-2.0, s_max=7.0, N=200)
     u = np.zeros(3)
-
-    def scaled(f, lam):
-        return dataclasses.replace(f, amp=f.amp * lam)
-
-    def gate(solve):
-        try:
-            return solve().condition
-        except SingularFredholm:
-            return None
-
     peak = 0.0
     for lam in np.append(np.linspace(1.0, 12.0, 23), 4.7426):
-        spec = KernelSpec(3, [
-            PhiEntry(e.i, e.j, scaled(e.first, lam), scaled(e.second, lam))
-            for e in base.entries])
-        low = gate(lambda: solve_marchenko(spec, u, grid))
-        dense = gate(lambda: solve_marchenko_kernel(spec_kernel(spec, u), 3,
-                                                    grid))
-        assert (low is None) == (dense is None)
-        if dense is not None:
-            assert abs(low - dense) <= 1e-10 * dense
-            peak = max(peak, dense)
+        spec = scaled_spec3(lam)
+        try:
+            low = solve_marchenko(spec, u, grid).condition
+        except SingularFredholm:
+            low = None
+        ref = explicit_solve(spec, u, grid)[2]
+        assert (low is None) == (not ref <= dressing.FREDHOLM_CONDITION_LIMIT)
+        if low is not None:
+            assert abs(low - ref) <= 1e-10 * ref
+            peak = max(peak, ref)
     assert peak > 1e5
 
 
@@ -761,15 +751,11 @@ def test_solution_matches_a_direct_solve():
     grid = Grid(s=-2.0, s_max=7.0, N=200)
     gen = np.random.default_rng(77)
     for u in gen.uniform(-0.3, 0.3, size=(3, 3)):
-        F_fn = spec_kernel(spec, u)
-        sol = solve_marchenko_kernel(F_fn, 3, grid)
-        F_s = F_fn(np.array([grid.s]), sol.q)[:, :, 0, :]
-        rhs = F_s.transpose(1, 2, 0).reshape(3 * grid.N, 3)
-        direct = np.linalg.solve(nystrom_matrix(F_fn, 3, grid), rhs)
-        K_ref = direct.reshape(3, grid.N, 3).transpose(2, 0, 1)
+        sol = solve_marchenko(spec, u, grid)
+        K_ref, diagonal, _ = explicit_solve(spec, u, grid)
         scale = np.max(np.abs(K_ref))
         assert np.max(np.abs(sol.K_nodes - K_ref)) <= 1e-12 * scale
-        beta_ref = dataclasses.replace(sol, K_nodes=K_ref).diagonal().T
+        beta_ref = diagonal.T
         beta = rotation_from_dressing(spec, u, grid)
         assert np.max(np.abs(beta - beta_ref)) \
             <= 1e-12 * np.max(np.abs(beta_ref))
