@@ -28,15 +28,19 @@ term, so a spec's Nystrom matrix is M = I - U V^T in rank R = len(terms),
 and a spec is solved through the R x R system I - V^T U (Woodbury
 identity; the degenerate-kernel method, Atkinson, The Numerical Solution
 of Integral Equations of the Second Kind, ch. 2). The solve evaluates each
-factor once, on s, the nodes and the tail scan together, and takes every
-value of F it needs from those rows; it never holds M or its inverse
-whole, and takes K and the residual from the factors in O(nN R). It gates
-on a condition bound taken from the 1- and inf-norms of M and its
-inverse, in two stages: a triangle-inequality screen from the factors, in
-O(nN R), passes the solve when it is at most half the limit; only
-otherwise are the exact norms summed over the block layout of the terms,
-in O(n N^2 R), and judged. The screen is never below the exact value, so
-the two stages refuse exactly the solves the exact value alone refuses.
+factor family once, in one broadcast call over all of its terms' rows, on
+s, the nodes and the tail scan together, and takes every value of F it
+needs from those rows. The tail check forms F on the scan only for the
+blocks of two or more terms; for a block of one term its largest |F| is
+the product of the factors' largest values, exactly (_Layout.tail). The
+solve never holds M or its inverse whole, and takes K and the residual
+from the factors in O(nN R). It gates on a condition bound taken from the
+1- and inf-norms of M and its inverse, in two stages: a
+triangle-inequality screen from the factors, in O(nN R), passes the solve
+when it is at most half the limit; only otherwise are the exact norms
+summed over the block layout of the terms, in O(n N^2 R), and judged. The
+screen is never below the exact value, so the two stages refuse exactly
+the solves the exact value alone refuses.
 """
 
 from __future__ import annotations
@@ -72,6 +76,46 @@ BETA_CHECK_STEP = 1e-3
 # kernel factors and specs
 # ---------------------------------------------------------------------------
 
+def _gaussian(t, amp, rate, center, slope):
+    """Gaussian factors amp exp(-rate d^2), d = t - center, at t, with the
+    parameters broadcast against t (scalars, or one column per row of t);
+    on the rows where slope is true, the derivative -2 rate d amp
+    exp(-rate d^2) instead. d is clipped to rate d^2 <= 746: beyond that
+    bound exp(-rate d^2) is exactly 0 in double precision, so the clip
+    changes no value or derivative (signs of zero included), and d^2
+    cannot overflow."""
+    bound = np.sqrt(746.0 / rate)
+    d = np.minimum(np.maximum(t - center, -bound), bound)
+    g = amp * np.exp(-rate * d ** 2)
+    return np.where(slope, -2.0 * rate * d * g, g) if np.any(slope) else g
+
+
+def _bump(t, amp, width, center, slope):
+    """Compact bumps amp exp(-1 / (1 - tau^2)), tau = (t - center) / width,
+    0 for |tau| >= 1, or their derivatives where slope is true, with the
+    parameters broadcast as in _gaussian. tau may overflow for a tiny
+    width; it is then infinite, so outside the support, where the value
+    is exactly 0."""
+    with np.errstate(over="ignore"):
+        tau = (t - center) / width
+    out = np.zeros_like(tau)
+    inside = np.abs(tau) < 1.0
+    ti = tau[inside]
+
+    def at(p):
+        return np.broadcast_to(p, tau.shape)[inside]
+
+    value = at(amp) * np.exp(-1.0 / (1.0 - ti ** 2))
+    if np.any(slope):
+        value = np.where(at(slope), value * (-2.0 * ti / (1.0 - ti ** 2) ** 2)
+                         / at(width), value)
+    out[inside] = value
+    return out
+
+
+_FAMILIES = {"gaussian": _gaussian, "bump": _bump}
+
+
 @dataclass(frozen=True)
 class Factor:
     family: str  # "gaussian" or "bump"
@@ -80,7 +124,7 @@ class Factor:
     center: float
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "bump"):
+        if self.family not in _FAMILIES:
             raise InputError(f"unknown factor family {self.family!r}")
         if not all(map(math.isfinite, (self.amp, self.width, self.center))):
             raise InputError("factor amp, width/rate and center must be finite")
@@ -88,40 +132,14 @@ class Factor:
             raise InputError("factor width/rate must be positive")
 
     def value(self, t):
-        if self.family == "gaussian":
-            return self._gaussian(t)[1]
-        return self._bump(t)[2]
+        return self._evaluate(t, False)
 
     def dvalue(self, t):
-        if self.family == "gaussian":
-            d, g = self._gaussian(t)
-            return -2.0 * self.width * d * g
-        tau, inside, out = self._bump(t)
-        ti = tau[inside]
-        out[inside] = out[inside] * (-2.0 * ti / (1.0 - ti ** 2) ** 2) \
-            / self.width
-        return out
+        return self._evaluate(t, True)
 
-    def _gaussian(self, t):
-        """(d, amp exp(-rate d^2)) with d = t - center clipped to
-        rate d^2 <= 746. Beyond that bound exp(-rate d^2) is exactly 0 in
-        double precision, so the clip changes no value or derivative
-        (signs of zero included), and d^2 cannot overflow."""
-        bound = math.sqrt(746.0 / self.width)
-        d = np.minimum(np.maximum(np.asarray(t, dtype=float) - self.center,
-                                  -bound), bound)
-        return d, self.amp * np.exp(-self.width * d ** 2)
-
-    def _bump(self, t):
-        """(tau, |tau| < 1, the bump's values) with tau = (t - center) /
-        width. tau may overflow for a tiny width; it is then infinite, so
-        outside the support, where the value is exactly 0."""
-        with np.errstate(over="ignore"):
-            tau = (np.asarray(t, dtype=float) - self.center) / self.width
-        out = np.zeros_like(tau)
-        inside = np.abs(tau) < 1.0
-        out[inside] = self.amp * np.exp(-1.0 / (1.0 - tau[inside] ** 2))
-        return tau, inside, out
+    def _evaluate(self, t, slope: bool):
+        return _FAMILIES[self.family](np.asarray(t, dtype=float), self.amp,
+                                      self.width, self.center, slope)
 
     def to_json(self) -> dict:
         key = "rate" if self.family == "gaussian" else "width"
@@ -158,7 +176,11 @@ class _Layout:
     rows (b, j) and columns (c, k), column t of U lies in row block b_t and
     column t of V in column block a_t, so block (b, c) of U V^T is the sum
     of the terms in feeds[b][c], and block c of V has nonzero columns
-    cols[c] only."""
+    cols[c] only.
+
+    The sums of F run by slots: slot k pairs each block that has more than
+    k terms with its k-th term, so adding the slots in turn adds each
+    block's terms in term order."""
 
     def __init__(self, n: int, blocks):
         self.n = n
@@ -169,27 +191,91 @@ class _Layout:
         self.cols = tuple(
             tuple(t for t, (a, _) in enumerate(self.blocks) if a == c)
             for c in range(n))
+        # the terms of each block (a, b), in row-major order of the blocks
+        by_block = [self.feeds[b][a] for a in range(n) for b in range(n)]
+        self._slots = _slots(by_block)
+        # the tail check takes a block of one term from the factors' maxima
+        # and forms the blocks of two or more
+        self._single = np.array(
+            [ts[0] for ts in by_block if len(ts) == 1], dtype=int)
+        multi = [ts for ts in by_block if len(ts) > 1]
+        self._multi, self._n_multi = _slots(multi), len(multi)
+        self._a = np.array([a for a, _ in self.blocks], dtype=int)
+        self._b = np.array([b for _, b in self.blocks], dtype=int)
 
     def kernel(self, X, Y, xs, ys) -> np.ndarray:
         """F(x, y), (n, n, len x, len y), at the points x = xs and y = ys
         (indices or slices) of the term rows (X, Y), summed in term order."""
         x, y = X[:, xs], Y[:, ys]
-        out = np.zeros((self.n, self.n, x.shape[1], y.shape[1]))
-        for t, (a, b) in enumerate(self.blocks):
-            out[a, b] += x[t, :, None] * y[t, None, :]
-        return out
+        return _sum_slots(x, y, self._slots, self.n * self.n).reshape(
+            self.n, self.n, x.shape[1], y.shape[1])
+
+    def tail(self, X, Y, xs, ys) -> float:
+        """max |F(x, y)| over the points x = xs and y = ys of the term rows,
+        without forming F on the blocks of one term: for those, max_jk
+        |x_j y_k| = fl(max|x| max|y|), as rounding is monotone, overflow
+        included. The blocks of two or more terms are summed in term order,
+        so an inf - inf there is NaN, and np.max keeps it. For finite rows,
+        as KernelSpec._rows gives, this is bit for bit
+        np.max(np.abs(self.kernel(X, Y, xs, ys))); an inf in the rows gives
+        inf or NaN."""
+        x, y = X[:, xs], Y[:, ys]
+        one = self._single
+        with np.errstate(over="ignore", invalid="ignore"):
+            peaks = (np.max(np.abs(x[one]), axis=1)
+                     * np.max(np.abs(y[one]), axis=1),
+                     _sum_slots(x, y, self._multi, self._n_multi).ravel())
+        return float(np.max(np.abs(np.concatenate(peaks)), initial=0.0))
 
     def factors(self, X, Y, w) -> tuple:
         """Rank-R factors (U, V), each (n N, R), of the Nystrom operator
         from the term rows (X, Y) at N nodes with weights w:
         (U V^T)[(b, j), (c, k)] = w_k F_cb(q_k, q_j)."""
         size = self.n * w.size
-        U = np.zeros((self.n, w.size, len(self.blocks)))
+        R = np.arange(len(self.blocks))
+        U = np.zeros((self.n, w.size, R.size))
         V = np.zeros_like(U)
-        for t, (a, b) in enumerate(self.blocks):
-            U[b, :, t] = Y[t]
-            V[a, :, t] = w * X[t]
+        U[self._b, :, R] = Y
+        V[self._a, :, R] = w * X
         return U.reshape(size, -1), V.reshape(size, -1)
+
+
+def _slots(groups) -> tuple:
+    """(groups with a k-th term, their k-th terms) for k = 0, 1, ... while
+    some group of term indices has a k-th term: index arrays, or a full
+    slice when every group has one, which sums in place."""
+    slots = []
+    for k in range(max(map(len, groups), default=0)):
+        at, terms = zip(*((g, ts[k]) for g, ts in enumerate(groups)
+                          if len(ts) > k))
+        slots.append((slice(None) if len(at) == len(groups) else
+                      np.array(at), np.array(terms)))
+    return tuple(slots)
+
+
+def _sum_slots(x, y, slots, count: int) -> np.ndarray:
+    """(count, len x, len y) sums of the products x_t(x) y_t(y) over the
+    slots (_slots) of count groups of terms, in slot order."""
+    out = np.zeros((count, x.shape[1], y.shape[1]))
+    for groups, terms in slots:
+        out[groups] += x[terms, :, None] * y[terms, None, :]
+    return out
+
+
+def _family_columns(family: str, rows) -> tuple:
+    """(evaluate, rows, u index, amp, width, center, slope) for the rows
+    (row, u index, factor, slope) of one factor family: the row numbers as
+    an index array, the rest as columns that broadcast against the
+    (len(rows), points) array of t."""
+    at, axis, factors, slope = zip(*rows)
+
+    def column(values):
+        return np.array(values)[:, None]
+
+    return (_FAMILIES[family], np.array(at), column(axis),
+            column([f.amp for f in factors]),
+            column([f.width for f in factors]),
+            column([f.center for f in factors]), column(slope))
 
 
 @dataclass(frozen=True)
@@ -217,9 +303,20 @@ class KernelSpec:
             term for e in entries
             for term in ((e.i - 1, e.j - 1, 1.0, e.first, e.second),
                          (e.j - 1, e.i - 1, -1.0, e.second, e.first)))
-        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_layout",
                            _Layout(n, [(a, b) for a, b, *_ in terms]))
+        object.__setattr__(self, "_signs",
+                           np.array([t[2] for t in terms])[:, None])
+        # the rows of X, then those of Y, as (row, u index, factor, slope)
+        rows = ([(t, a, fa, True) for t, (a, _, _, fa, _) in enumerate(terms)]
+                + [(len(terms) + t, b, fb, False)
+                   for t, (_, b, _, _, fb) in enumerate(terms)])
+        families = {}
+        for row in rows:
+            families.setdefault(row[2].family, []).append(row)
+        object.__setattr__(self, "_families", tuple(
+            _family_columns(family, members)
+            for family, members in families.items()))
 
     def to_json(self) -> dict:
         out = []
@@ -258,15 +355,17 @@ class KernelSpec:
     def _rows(self, u, points) -> tuple:
         """Term rows (X, Y), each (R, len(points)): X[t] = sign_t *
         fa_t'(points - u^a_t) and Y[t] = fb_t(points - u^b_t), one call of
-        each factor per term. A value that is not finite is an InputError
-        naming its entry and factor."""
-        x = [points - ua for ua in np.asarray(u, dtype=float)]
-        X = np.empty((len(self._terms), points.size))
-        Y = np.empty_like(X)
+        each factor family for all its rows. A value that is not finite is
+        an InputError naming its entry and factor."""
+        u = np.asarray(u, dtype=float)
+        R = len(self._signs)
+        table = np.empty((2 * R, points.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, (a, b, sign, fa, fb) in enumerate(self._terms):
-                X[t] = sign * fa.dvalue(x[a])
-                Y[t] = fb.value(x[b])
+            for family, at, axis, amp, width, center, slope in self._families:
+                table[at] = family(points - u[axis], amp, width, center,
+                                   slope)
+            table[:R] *= self._signs
+        X, Y = table[:R], table[R:]
         for rows, what, shift in ((X, "derivative", 0), (Y, "value", 1)):
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if bad.size:
@@ -313,6 +412,18 @@ class Grid:
         half = 0.5 * (self.s_max - self.s)
         return self.s + half * (x + 1.0), half * w
 
+    @functools.cached_property
+    def _points(self) -> tuple:
+        """(q, w, points), shared read-only by every solve on this grid: the
+        nodes and weights, and the points at which a solve evaluates the
+        factors, s, then the nodes, then the 17-point tail scan."""
+        q, w = self.nodes()
+        scan = self.s_max + np.linspace(0.0, self.tail_width, 17)
+        points = np.concatenate([[self.s], q, scan])
+        for a in (q, w, points):
+            a.flags.writeable = False
+        return q, w, points
+
 
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(N: int):
@@ -326,7 +437,7 @@ def _gauss_legendre(N: int):
 @dataclass
 class MarchenkoSolution:
     grid: Grid
-    q: np.ndarray
+    q: np.ndarray  # the nodes and weights, the grid's read-only arrays
     w: np.ndarray
     K_nodes: np.ndarray  # [a, b, j] = K_ab(s, q_j)
     residual: float
@@ -414,12 +525,13 @@ def _screen(U, V, W) -> float:
     ||X V^T||_inf <= max_i sum_t |X_it| ||V_:t||_1 and ||I +- Y|| <= 1 + ||Y||,
     taken with X = U for M and X = W for M^-1. NaN if W is not finite."""
     aV = np.abs(V)
+    V_1 = aV.sum(axis=0)
     bound = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for X in (U, W):
             aX = np.abs(X)
             bound *= (1.0 + float(np.max(aV @ aX.sum(axis=0)))) \
-                * (1.0 + float(np.max(aX @ aV.sum(axis=0))))
+                * (1.0 + float(np.max(aX @ V_1)))
     return math.sqrt(bound)
 
 
@@ -448,11 +560,11 @@ def solve_marchenko_kernel(rows, n: int, grid: Grid,
 
     layout is a _Layout of the blocks (a_t, b_t), and rows(points) ->
     (X, Y), each (R, len(points)), as KernelSpec._rows. rows is called
-    once, on s, the nodes and the tail scan, so each factor is evaluated
-    once per solve; the tail scan, the right-hand side F(s, q), the
-    factors U, V of the Nystrom matrix M = I - U V^T and F((s, q), s) for
-    diagonal() are all summed from those rows. Only the R x R matrix
-    C = I - V^T U is inverted: with W = U C^-1, M^-1 = I + W V^T, so
+    once, on the grid's s, nodes and tail scan, so each factor is
+    evaluated once per solve; the tail max (_Layout.tail), the right-hand
+    side F(s, q), the factors U, V of the Nystrom matrix M = I - U V^T and
+    F((s, q), s) for diagonal() all come from those rows. Only the R x R
+    matrix C = I - V^T U is inverted: with W = U C^-1, M^-1 = I + W V^T, so
     K = rhs + W (V^T rhs) and the residual M K - rhs come from the factors
     in O(nN R), and neither M nor M^-1 is formed.
 
@@ -475,13 +587,10 @@ def solve_marchenko_kernel(rows, n: int, grid: Grid,
     Stability of Numerical Algorithms, sec. 6) and at most nN times it.
     A singular C, or a bound above FREDHOLM_CONDITION_LIMIT, raises
     SingularFredholm."""
-    q, w = grid.nodes()
-    scan = grid.s_max + np.linspace(0.0, grid.tail_width, 17)
+    q, w, points = grid._points
     N = grid.N
-    # the points are s, then the nodes, then the tail scan
-    X, Y = rows(np.concatenate([[grid.s], q, scan]))
-    tail = float(np.max(np.abs(
-        layout.kernel(X, Y, slice(N + 1, None), slice(1, None)))))
+    X, Y = rows(points)
+    tail = layout.tail(X, Y, slice(N + 1, None), slice(1, None))
     if not tail <= TAIL_BOUND:
         raise TailTooFat(
             f"|F| reaches {tail:.3e} beyond s_max = {grid.s_max}")

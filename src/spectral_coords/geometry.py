@@ -375,7 +375,9 @@ def build_report(source, u,
     gamma, dgamma = _christoffel(H, dH, d2H)
 
     def fmax(vals):
-        return max((abs(v) for v in vals), default=0.0)
+        # np.max keeps a NaN wherever it stands; Python's max drops one
+        # that does not come first
+        return float(np.max(np.abs(vals), initial=0.0))
 
     return GeometryReport(
         u=j.u.tolist(),

@@ -11,7 +11,7 @@ import pytest
 
 import spectral_coords
 import spectral_coords.gallery as gallery
-from spectral_coords import baker, cli, dressing
+from spectral_coords import baker, cli, dressing, geometry
 from spectral_coords.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -392,6 +392,33 @@ def test_tol_is_only_taken_where_it_gates(polar_file, capsys, argv):
                          "--tol", "1e-3")
     assert code == 2 and out == ""
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("system", ["eq1", "eq4", "eq5"])
+@pytest.mark.parametrize("position", [0, -1])
+def test_a_nan_residual_reaches_the_verify_gates_in_either_position(
+        tmp_path, capsys, monkeypatch, system, position):
+    # build_report folds each system with np.max; Python's max keeps a NaN
+    # only when it comes first, and max([1.0, nan]) is 1.0
+    systems = geometry._systems
+    k = ("eq1", "eq4", "eq5").index(system)
+
+    def with_nan(*args):
+        out = [list(v) for v in systems(*args)]
+        assert len(out[k]) >= 3
+        out[k][position] = math.nan
+        return tuple(out)
+
+    monkeypatch.setattr(geometry, "_systems", with_nan)
+    path = tmp_path / "spherical3.json"
+    path.write_text(json.dumps(gallery.build("spherical3").data.to_json()))
+    code, out, _ = run(capsys, "verify", str(path), "--grid", "1:-0.1:0.1:2")
+    report = json.loads(out)
+    # eq2 is read from eq5
+    names = {system} | ({"eq2"} if system == "eq5" else set())
+    assert code == 1 and report["passed"] is False
+    assert {b["check"] for b in report["breaches"]} == names
+    assert all(math.isnan(report["worst"][name]) for name in names)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -437,18 +437,44 @@ def test_non_finite_factor_values_are_an_input_error():
 
 
 def test_one_solve_evaluates_each_factor_once(monkeypatch):
-    # 6 entries give 12 terms, each with one derivative and one value row
-    # over s, the nodes and the tail scan; diagonal() reuses them
-    calls = {"value": 0, "dvalue": 0}
-    for name in calls:
-        def counting(self, t, _name=name, _original=getattr(Factor, name)):
-            calls[_name] += 1
-            return _original(self, t)
-        monkeypatch.setattr(Factor, name, counting)
-    sol = solve_marchenko(make_spec3(), np.array([0.1, -0.2, 0.05]), GRID)
-    assert calls == {"value": 12, "dvalue": 12}
-    sol.diagonal()
-    assert calls == {"value": 12, "dvalue": 12}
+    # each family is evaluated once per solve, on all of its rows (the
+    # derivative rows of X and the value rows of Y) over s, the nodes and
+    # the tail scan together; diagonal() reuses the rows. Specs built after
+    # the patch evaluate through the counters.
+    calls = []
+    for name, family in list(dressing._FAMILIES.items()):
+        def counting(t, *params, _name=name, _family=family):
+            calls.append((_name, np.shape(t)))
+            return _family(t, *params)
+        monkeypatch.setitem(dressing._FAMILIES, name, counting)
+    points = 1 + GRID.N + 17
+    u = np.array([0.1, -0.2, 0.05])
+    for spec, rows in ((make_spec3(), {"gaussian": 24}),
+                       (mixed_spec3(), {"gaussian": 8, "bump": 8})):
+        calls.clear()
+        sol = solve_marchenko(spec, u, GRID)
+        assert sorted(calls) == sorted(
+            (name, (count, points)) for name, count in rows.items())
+        sol.diagonal()
+        assert len(calls) == len(rows)
+
+
+def test_solves_on_one_grid_share_its_points(monkeypatch):
+    nodes = []
+    original = Grid.nodes
+
+    def counting(self):
+        nodes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Grid, "nodes", counting)
+    grid = Grid(s=-2.0, s_max=7.0, N=40)
+    spec = make_spec3()
+    first = solve_marchenko(spec, np.zeros(3), grid)
+    second = solve_marchenko(spec, np.full(3, 0.1), grid)
+    assert nodes == [grid]
+    assert first.q is second.q and not first.q.flags.writeable
+    assert np.array_equal(first.q, grid.nodes()[0])
 
 
 def test_unit_mass_kernel_is_singular():
@@ -574,6 +600,120 @@ def layout_specs():
             PhiEntry(2, 3, g(0.25, 0.9, 0.15), g(0.3, 1.2, -0.3)))),
         "empty": KernelSpec(2, ()),
     }
+
+
+def mixed_spec3() -> KernelSpec:
+    """Gaussian and bump entries on n = 3, one entry with a factor of
+    each family."""
+    g = lambda *a: Factor("gaussian", *a)
+    b = lambda *a: Factor("bump", *a)
+    return KernelSpec(3, (
+        PhiEntry(1, 1, g(0.3, 1.2, 0.4), g(0.25, 0.9, -0.2)),
+        PhiEntry(1, 2, b(0.5, 2.0, -1.5), b(0.4, 1.8, -1.2)),
+        PhiEntry(2, 3, g(0.25, 0.9, 0.15), b(0.3, 1.6, -0.8)),
+        PhiEntry(3, 3, b(0.35, 2.2, -1.0), g(0.15, 1.1, 0.3))))
+
+
+def random_spec(gen, n, families) -> KernelSpec:
+    """A seeded spec on n axes: each pair i <= j holds an entry with
+    probability 3/4, each of its factors of a family drawn from
+    families."""
+    def factor():
+        if families[gen.integers(len(families))] == "gaussian":
+            return Factor("gaussian", gen.uniform(0.1, 0.5),
+                          gen.uniform(0.8, 1.4), gen.uniform(-0.5, 0.5))
+        return Factor("bump", gen.uniform(0.1, 0.6), gen.uniform(1.0, 2.5),
+                      gen.uniform(-1.5, 0.5))
+    return KernelSpec(n, [PhiEntry(i, j, factor(), factor())
+                          for i in range(1, n + 1) for j in range(i, n + 1)
+                          if gen.uniform() < 0.75])
+
+
+def equivalence_specs() -> list:
+    """layout_specs() and seeded gaussian, bump and mixed specs."""
+    gen = np.random.default_rng(2626)
+    specs = list(layout_specs().values()) + [mixed_spec3()]
+    for families in (("gaussian",), ("bump",), ("gaussian", "bump")):
+        specs += [random_spec(gen, n, families) for n in (1, 2, 3, 4)]
+    return specs
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_rows_equal_the_per_factor_rows_bit_for_bit():
+    # one family call per family gives, row by row, what each factor's
+    # value and dvalue give on its own
+    gen = np.random.default_rng(515)
+    points = Grid(s=-2.0, s_max=6.0, N=40)._points[2]
+    for spec in equivalence_specs():
+        u = gen.uniform(-0.3, 0.3, size=spec.n)
+        X, Y = spec._rows(u, points)
+        terms = [term for e in spec.entries for term in (
+            (e.i - 1, e.j - 1, 1.0, e.first, e.second),
+            (e.j - 1, e.i - 1, -1.0, e.second, e.first))]
+        assert X.shape == Y.shape == (len(terms), points.size)
+        for t, (a, b, sign, fa, fb) in enumerate(terms):
+            dvalue = sign * fa.dvalue(points - u[a])
+            assert X[t].tobytes() == dvalue.tobytes()
+            assert Y[t].tobytes() == fb.value(points - u[b]).tobytes()
+
+
+def test_tail_is_the_max_of_the_formed_kernel_bit_for_bit():
+    gen = np.random.default_rng(77)
+    grid = Grid(s=-2.0, s_max=6.0, N=40)
+    N, points = grid.N, grid._points[2]
+    for spec in equivalence_specs():
+        layout = spec._layout
+        u = gen.uniform(-0.3, 0.3, size=spec.n)
+        rows = spec._rows(u, points)
+        # random rows spread over 400 decades, whose products underflow and
+        # overflow to inf, and rows whose products all overflow and meet
+        # as inf - inf on the blocks of two terms
+        R = len(spec.entries) * 2
+        wide = [tuple(gen.standard_normal((R, points.size))
+                      * 10.0 ** gen.uniform(lo, hi, size=(R, 1))
+                      for _ in range(2)) for lo, hi in ((-200, 200),
+                                                        (155, 200))]
+        for X, Y in [rows] + wide:
+            for xs, ys in ((slice(N + 1, None), slice(1, None)),
+                           (slice(None), slice(None))):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    formed = np.max(np.abs(layout.kernel(X, Y, xs, ys)))
+                assert same_bits(layout.tail(X, Y, xs, ys), formed)
+
+
+@pytest.mark.parametrize("name, reading", [
+    # the diagonal blocks' two terms overflow to inf - inf = NaN
+    ("acceptance", "nan"),
+    # every block holds one term, whose products overflow to inf
+    ("offdiag", "inf"),
+])
+def test_overflowing_kernel_is_a_fat_tail(name, reading):
+    base = layout_specs()[name]
+    spec = KernelSpec(base.n, [
+        PhiEntry(e.i, e.j, dataclasses.replace(e.first, amp=1e200),
+                 dataclasses.replace(e.second, amp=1e200))
+        for e in base.entries])
+    N = GRID.N
+    X, Y = spec._rows(np.zeros(spec.n), GRID._points[2])
+    tail = spec._layout.tail(X, Y, slice(N + 1, None), slice(1, None))
+    assert repr(tail) == reading
+    with pytest.raises(TailTooFat, match=f"reaches {reading} beyond"):
+        solve_marchenko(spec, np.zeros(spec.n), GRID)
+
+
+def test_mixed_spec_solve_matches_the_explicit_matrices():
+    grid = Grid(s=-2.0, s_max=7.0, N=64)
+    u = np.array([0.1, -0.2, 0.05])
+    sol = solve_marchenko(mixed_spec3(), u, grid)
+    K_ref, diagonal, condition = explicit_solve(mixed_spec3(), u, grid)
+    assert np.max(np.abs(sol.K_nodes - K_ref)) \
+        <= 1e-12 * np.max(np.abs(K_ref))
+    assert np.max(np.abs(sol.diagonal() - diagonal)) \
+        <= 1e-12 * np.max(np.abs(diagonal))
+    assert abs(sol.condition - condition) <= 1e-12 * condition
 
 
 @pytest.mark.parametrize("name", list(layout_specs()))

@@ -84,6 +84,9 @@ def _cases():
         "dress-acceptance-csv": ["dress", _kernel("acceptance"),
                                  "--grid", "2:-0.1:0.1:3", "--format", "csv"],
         "dress-bump": ["dress", _kernel("bump")],
+        # one gaussian-product and one bump-product entry in one spec
+        "dress-mixed": ["dress", _kernel("mixed"),
+                        "--grid", "1:-0.1:0.1:3;3:0:0.1:2"],
         "dress-fat-tail": ["dress", _kernel("fat-tail")],
         "gallery-unknown": ["gallery", "hyperbolic"],
         "solve-wrong-dimension": ["solve", _config("polar"), "--u=0.15"],
