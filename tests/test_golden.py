@@ -12,7 +12,8 @@ CLI wrote; ``MANIFEST.json`` names the commit it came from.
 
 The gallery cases' golden stdout (``gallery-<name>.out``) is the config the
 other cases of that entry read, so every case reads fixed bytes. The kernel
-specs are checked in as ``kernel-<name>.json``.
+specs are checked in as ``kernel-<name>.json``, and edited copies of a
+gallery config as ``config-<name>.json``.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py``. That changes
 a check: record which files changed, why, and the largest difference.
@@ -61,6 +62,10 @@ def _kernel(name):
     return os.path.join(GOLDEN, f"kernel-{name}.json")
 
 
+def _edited(name):
+    return os.path.join(GOLDEN, f"config-{name}.json")
+
+
 def _cases():
     cases = {}
     for name, u in SOLVE_U.items():
@@ -90,6 +95,12 @@ def _cases():
         "dress-fat-tail": ["dress", _kernel("fat-tail")],
         "gallery-unknown": ["gallery", "hyperbolic"],
         "solve-wrong-dimension": ["solve", _config("polar"), "--u=0.15"],
+        # polar with a fourth normalization, at -2 on component 0: the
+        # counting check fails, and so does the involution, which maps the
+        # point to 2
+        "validate-count-mismatch": ["validate", _edited("count-mismatch")],
+        # exp(-800) underflows, so A(u) is exactly 0: exit 3
+        "solve-singular": ["solve", _config("euclidean1"), "--u=800"],
     })
     return cases
 
