@@ -6,7 +6,9 @@ The argument parser is built once per process, at import; parsing does
 not change it, so repeated `main` calls in one process behave like fresh
 ones.
 
-Exit codes are a stable contract:
+Exit codes are a stable contract. Each refusal's code is the
+`exit_code` of its error class in `errors`, so `main` maps them all in
+one branch:
     0  pass
     1  check failure
     2  input error (bad JSON, bad flags, unknown gallery name,
@@ -28,15 +30,9 @@ import numpy as np
 from . import baker, dressing, gallery, geometry
 from .curve import (SpectralData, check_involution, check_Q_residues,
                     check_regular, validate_counting)
-from .errors import (InputError, SingularFredholm, SingularSystem,
-                     SpectralError, TailTooFat)
-from .numerics import complex_to_json
-
-EXIT_OK = 0
-EXIT_CHECK = 1
-EXIT_INPUT = 2
-EXIT_SINGULAR = 3
-EXIT_DRESSING = 4
+from .errors import (EXIT_CHECK, EXIT_INPUT, EXIT_OK, InputError,
+                     SpectralError)
+from .numerics import complex_to_json, max_abs
 
 # worker threads for the per-sample geometry reports of `verify`
 VERIFY_WORKERS = min(8, os.cpu_count() or 1)
@@ -175,49 +171,33 @@ def cmd_validate(args: argparse.Namespace) -> int:
     checks = {}
     failures = []
 
-    try:
-        counting = validate_counting(data)
-        checks["counting"] = {
-            "passed": True,
-            "unknowns": counting.unknowns,
-            "equations": counting.equations,
-            "genus": counting.genus,
-            "genus_nodal_sum": counting.genus_nodal_sum,
-            "deg_D": counting.deg_D,
-            "warnings": counting.warnings,
-        }
-    except SpectralError as exc:
-        checks["counting"] = {"passed": False, "error": str(exc)}
-        failures.append("counting")
-
-    regular = check_regular(data)
-    # a NaN sum compares false, so it is listed unless known small
-    bad = [k for k, v in enumerate(regular.sums)
-           if not abs(v) <= regular.tol]
-    checks["regularity"] = {
-        "passed": regular.passed,
-        "max_abs_residue_sum": regular.max_abs,
-        "failing_gluings": bad,
-    }
-    if not regular.passed:
-        failures.append("regularity (gluings %s)" % bad)
-
-    try:
-        eta0_sq = check_Q_residues(data)
-        checks["q_residues"] = {"passed": True, "eta0_squared": eta0_sq}
-    except InputError:
-        raise  # a residue that overflows, as in check_regular: exit 2
-    except SpectralError as exc:
-        checks["q_residues"] = {"passed": False, "error": str(exc)}
-        failures.append("q_residues")
-
-    if data.sigma is not None:
+    def run(name, check):
+        """checks[name] from check(), which returns the details of its
+        result. An error whose exit code is EXIT_CHECK fails the check, and
+        any other error, such as a residue that overflows, reaches main."""
         try:
-            details = check_involution(data)
-            checks["involution"] = {"passed": True, **details}
+            checks[name] = {"passed": True, **check()}
         except SpectralError as exc:
-            checks["involution"] = {"passed": False, "error": str(exc)}
-            failures.append("involution")
+            if exc.exit_code != EXIT_CHECK:
+                raise
+            checks[name] = {"passed": False, "error": str(exc)}
+        if not checks[name]["passed"]:
+            bad = checks[name].get("failing_gluings")
+            failures.append(name if bad is None else f"{name} (gluings {bad})")
+
+    def regularity():
+        regular = check_regular(data)
+        # a NaN sum compares false, so it is listed unless known small
+        return {"passed": regular.passed,
+                "max_abs_residue_sum": regular.max_abs,
+                "failing_gluings": [k for k, v in enumerate(regular.sums)
+                                    if not abs(v) <= regular.tol]}
+
+    run("counting", lambda: vars(validate_counting(data)))
+    run("regularity", regularity)
+    run("q_residues", lambda: {"eta0_squared": check_Q_residues(data)})
+    if data.sigma is not None:
+        run("involution", lambda: check_involution(data))
 
     _emit(_dump({"checks": checks, "failures": failures,
                  "passed": not failures}), args.out)
@@ -238,7 +218,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _emit(_dump({
         "u": [float(v) for v in u],
         "x": [complex_to_json(v) for v in x],
-        "imag_max": float(np.max(np.abs(x.imag))),
+        "imag_max": max_abs(x.imag),
         "H": [float(v) for v in H],
         "h": [complex_to_json(v) for v in h],
         "diagnostics": {"condition": float(cond), "residual": float(resid)},
@@ -317,9 +297,8 @@ def cmd_dress(args: argparse.Namespace) -> int:
     gates = _Gates()
     for k in probes:
         eq4, eq5 = dressing.check_beta_systems(beta_at, spec.n, samples[k])
-        # np.max keeps a NaN, as the gates do
-        gates.check("eq4", float(np.max(np.abs(eq4), initial=0.0)), tol)
-        gates.check("eq5", float(np.max(np.abs(eq5), initial=0.0)), tol)
+        gates.check("eq4", max_abs(eq4), tol)
+        gates.check("eq5", max_abs(eq5), tol)
     res4, res5 = gates.worst["eq4"], gates.worst["eq5"]
     passed = not gates.breaches
 
@@ -416,18 +395,9 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (TailTooFat, SingularFredholm) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DRESSING
-    except SingularSystem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        return exc.exit_code
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed input ({exc})", file=sys.stderr)
         return EXIT_INPUT

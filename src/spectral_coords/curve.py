@@ -15,8 +15,8 @@ from .errors import (CountMismatch, DivisorMismatch, InputError, Mismatch,
                      NonPositive, NotInvolution, PNotFixed)
 from .numerics import (INF, ROOT_MERGE_TOL, FactoredRational,
                        RationalDifferential, complex_from_json, complex_to_json,
-                       is_inf, json_int, point_from_json, point_to_json,
-                       require_finite, same_point)
+                       is_inf, json_int, max_abs, point_from_json,
+                       point_to_json, require_finite, same_point)
 
 # relative tolerance of the validators (regularity, Q residues, involution)
 VALIDATOR_TOL = 1e-10
@@ -381,7 +381,7 @@ class RegularityReport:
 
     @property
     def max_abs(self) -> float:
-        return max((abs(s) for s in self.sums), default=0.0)
+        return max_abs(self.sums)
 
     @property
     def passed(self) -> bool:

@@ -54,7 +54,7 @@ import numpy as np
 from .errors import (IncompatibleField, InputError, SingularFredholm,
                      TailTooFat)
 from .geometry import FDConfig, _fd_jet, rotation_systems
-from .numerics import json_int, json_real
+from .numerics import json_int, json_real, max_abs
 
 TAIL_BOUND = 1e-10
 # Gate on sqrt(kappa_1 * kappa_inf) of the Nystrom matrix, with
@@ -225,7 +225,7 @@ class _Layout:
             peaks = (np.max(np.abs(x[one]), axis=1)
                      * np.max(np.abs(y[one]), axis=1),
                      _sum_slots(x, y, self._multi, self._n_multi).ravel())
-        return float(np.max(np.abs(np.concatenate(peaks)), initial=0.0))
+        return max_abs(np.concatenate(peaks))
 
     def factors(self, X, Y, w) -> tuple:
         """Rank-R factors (U, V), each (n N, R), of the Nystrom operator
@@ -595,20 +595,24 @@ def solve_marchenko_kernel(rows, n: int, grid: Grid,
         raise TailTooFat(
             f"|F| reaches {tail:.3e} beyond s_max = {grid.s_max}")
 
-    # F_s[a, b, 0, j] = F_ab(s, q_j)
-    F_s = layout.kernel(X, Y, slice(0, 1), slice(1, N + 1))
-    rhs = F_s[:, :, 0, :].transpose(1, 2, 0).reshape(n * N, n)
-    U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
-    W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
-    cond = functools.partial(_low_rank_condition, layout, U, V, W)
-    if not _screen(U, V, W) <= _SCREEN_MARGIN * FREDHOLM_CONDITION_LIMIT:
-        cond = cond()
-    sol = rhs + W @ (V.T @ rhs)
-    residual = float(np.max(np.abs(sol - U @ (V.T @ sol) - rhs)))
-    return MarchenkoSolution(
-        grid=grid, q=q, w=w, K_nodes=sol.reshape(n, N, n).transpose(2, 0, 1),
-        residual=residual, _condition=cond,
-        _F_diag=layout.kernel(X, Y, slice(0, N + 1), slice(0, 1)))
+    # factors whose products overflow pass the tail check and make the
+    # operator NaN or inf, which the gate refuses: numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        # F_s[a, b, 0, j] = F_ab(s, q_j)
+        F_s = layout.kernel(X, Y, slice(0, 1), slice(1, N + 1))
+        rhs = F_s[:, :, 0, :].transpose(1, 2, 0).reshape(n * N, n)
+        U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
+        W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
+        cond = functools.partial(_low_rank_condition, layout, U, V, W)
+        if not _screen(U, V, W) <= _SCREEN_MARGIN * FREDHOLM_CONDITION_LIMIT:
+            cond = cond()
+        sol = rhs + W @ (V.T @ rhs)
+        residual = max_abs(sol - U @ (V.T @ sol) - rhs)
+        return MarchenkoSolution(
+            grid=grid, q=q, w=w,
+            K_nodes=sol.reshape(n, N, n).transpose(2, 0, 1),
+            residual=residual, _condition=cond,
+            _F_diag=layout.kernel(X, Y, slice(0, N + 1), slice(0, 1)))
 
 
 def solve_marchenko(spec: KernelSpec, u, grid: Grid) -> MarchenkoSolution:
@@ -706,8 +710,8 @@ def lame_from_rotation(beta_fn, cauchy, axes) -> LameResult:
     if n >= 3:
         probe = pts[len(pts) // 2]
         eq4, _ = check_beta_systems(beta_fn, n, probe)
-        worst = max((abs(v) for v in eq4), default=0.0)
-        if worst > 1e-2:
+        worst = max_abs(eq4)
+        if not worst <= 1e-2:
             raise IncompatibleField(
                 f"rotation field violates its integrability system "
                 f"(residual {worst:.3e})")
@@ -747,13 +751,13 @@ def lame_from_rotation(beta_fn, cauchy, axes) -> LameResult:
                     keep[i] = slice(zi, zi + 1)
                     total = total + anti - anti[tuple(keep)]
                 H[j] = total
-            delta = float(np.max(np.abs(H - prev)))
-            if delta <= 1e-13 * (1.0 + float(np.max(np.abs(H)))):
+            delta = max_abs(H - prev)
+            if delta <= 1e-13 * (1.0 + max_abs(H)):
                 return H, iteration
         raise IncompatibleField("Picard iteration did not converge")
 
     H_fwd, iters = run(list(range(n)))
     H_rev, _ = run(list(range(n - 1, -1, -1)))
-    spread = float(np.max(np.abs(H_fwd - H_rev)))
+    spread = max_abs(H_fwd - H_rev)
     return LameResult(axes=[np.asarray(a, dtype=float) for a in axes],
                       H=H_fwd, path_spread=spread, iterations=iters)

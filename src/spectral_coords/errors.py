@@ -1,16 +1,29 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the CLI's exit codes.
 
 Every failure mode that callers are expected to catch has its own class;
-they all derive from SpectralError so CLI code can map them to exit codes.
+they all derive from SpectralError, and each class carries the exit code
+the CLI returns for it as `exit_code`: 2 for bad input, 3 for a singular
+or non-finite linear solve, 4 for a failure of the integral equation,
+and 1, a failed check, for every other class.
 """
+
+EXIT_OK = 0
+EXIT_CHECK = 1
+EXIT_INPUT = 2
+EXIT_SINGULAR = 3
+EXIT_DRESSING = 4
 
 
 class SpectralError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = EXIT_CHECK
+
 
 class InputError(SpectralError):
     """Malformed configuration or JSON input."""
+
+    exit_code = EXIT_INPUT
 
 
 # --- numerics ---------------------------------------------------------------
@@ -58,6 +71,8 @@ class EssentialSingularity(SpectralError):
 class SingularSystem(SpectralError):
     """The linear system for the wave-function coefficients is ill conditioned."""
 
+    exit_code = EXIT_SINGULAR
+
 
 class NonPositiveDiagonal(SpectralError):
     """Metric diagonal entry is not positive; scale factors undefined."""
@@ -72,9 +87,13 @@ class StencilFailure(SpectralError):
 class SingularFredholm(SpectralError):
     """Discretised integral-equation matrix is ill conditioned."""
 
+    exit_code = EXIT_DRESSING
+
 
 class TailTooFat(SpectralError):
     """Kernel does not decay enough beyond the truncation point."""
+
+    exit_code = EXIT_DRESSING
 
 
 class DegenerateParameters(SpectralError):

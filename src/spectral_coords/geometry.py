@@ -46,7 +46,7 @@ from .baker import Solver
 from .curve import check_Q_residues
 from .errors import (InputError, NonPositiveDiagonal, SingularSystem,
                      SpectralError, StencilFailure)
-from .numerics import complex_to_json
+from .numerics import complex_to_json, max_abs
 
 # central-difference weights per derivative order and accuracy order,
 # keyed by offset in steps
@@ -256,13 +256,13 @@ def _riemann_max(gamma, dgamma) -> float:
     half = np.einsum("cadb->abcd", dgamma) \
         + np.einsum("ace,edb->abcd", gamma, gamma)
     riemann = half - half.transpose(0, 1, 3, 2)
-    return float(np.max(np.abs(riemann)))
+    return max_abs(riemann)
 
 
 def _immersion_max(j: Jet, gamma) -> float:
     """max over i, j, k of |d_i d_j x^k - sum_a d_a x^k Gamma[a, i, j]|."""
     rhs = np.einsum("ak,aij->ijk", j.dx, gamma)
-    return float(np.max(np.abs(j.d2x - rhs)))
+    return max_abs(j.d2x - rhs)
 
 
 def _systems(H, beta, dbeta) -> tuple:
@@ -320,7 +320,7 @@ def metric(source, u, fd: FDConfig = FIRST_DERIVATIVE_FD):
     imaginary component encountered (reported, never dropped silently).
     """
     g = _metric(source if isinstance(source, Jet) else jet(source, u, 1, fd))
-    return g.real.copy(), float(np.max(np.abs(g.imag)))
+    return g.real.copy(), max_abs(g.imag)
 
 
 def lame(g) -> np.ndarray:
@@ -373,23 +373,17 @@ def build_report(source, u,
     beta, dbeta = _rotation(H, dH, d2H)
     eq1, eq4, eq5 = _systems(H, beta, dbeta)
     gamma, dgamma = _christoffel(H, dH, d2H)
-
-    def fmax(vals):
-        # np.max keeps a NaN wherever it stands; Python's max drops one
-        # that does not come first
-        return float(np.max(np.abs(vals), initial=0.0))
-
     return GeometryReport(
         u=j.u.tolist(),
         x=[complex_to_json(v) for v in j.x],
-        imag_max=float(np.max(np.abs(j.x.imag))),
-        g_offdiag_max=float(np.max(np.abs(off))),
+        imag_max=max_abs(j.x.imag),
+        g_offdiag_max=max_abs(off),
         lame=H.tolist(),
         rotation=beta.tolist(),
-        eq1_max=fmax(eq1),
-        eq2_max=fmax(eq5),  # eq2 equals eq5, see _systems
-        eq4_max=fmax(eq4),
-        eq5_max=fmax(eq5),
+        eq1_max=max_abs(eq1),
+        eq2_max=max_abs(eq5),  # eq2 equals eq5, see _systems
+        eq4_max=max_abs(eq4),
+        eq5_max=max_abs(eq5),
         riemann_max=_riemann_max(gamma, dgamma),
         immersion_max=_immersion_max(j, gamma),
     )

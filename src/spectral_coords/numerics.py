@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, Mismatch, NoIsolation, PoleEvaluation
 
 ROOT_MERGE_TOL = 1e-9
@@ -50,6 +52,13 @@ def require_finite(z: complex, what: str = "value") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InputError(f"{what} must have finite components, got {z}")
     return z
+
+
+def max_abs(values) -> float:
+    """The largest |v| over values, 0.0 for none. A NaN anywhere is kept,
+    so a check that reads it fails closed; Python's max drops a NaN that
+    does not come first."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def same_point(p, q, tol: float = ROOT_MERGE_TOL) -> bool:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,10 +12,12 @@ import pytest
 
 import spectral_coords
 import spectral_coords.gallery as gallery
-from spectral_coords import baker, cli, dressing, geometry
+from spectral_coords import baker, cli, dressing, errors, geometry
 from spectral_coords.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 KERNEL2 = {
     "n": 2,
@@ -246,6 +249,69 @@ def test_overflowing_residue_multiplicity_is_input_error(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows" in err
+
+
+def test_a_nan_residue_sum_fails_regularity(tmp_path, capsys):
+    # omega_2's scale at 1e308 makes the residue sums of gluings 2 and 3
+    # NaN; RegularityReport.max_abs used Python's max, which dropped them,
+    # so regularity passed with a finite maximum while listing both
+    config = _edited_golden_config(tmp_path, "example3", ("omega", 2, "scale"),
+                                   [1e308, 1e308])
+    code, out, _ = run(capsys, "validate", config)
+    report = json.loads(out)
+    regular = report["checks"]["regularity"]
+    assert code == 1
+    assert regular["passed"] is False
+    assert math.isnan(regular["max_abs_residue_sum"])
+    assert regular["failing_gluings"] == [2, 3]
+    assert "regularity (gluings [2, 3])" in report["failures"]
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.SpectralError)),
+    key=lambda c: c.__name__)
+
+
+def test_every_error_class_carries_its_readme_exit_code():
+    special = {errors.InputError: 2, errors.SingularSystem: 3,
+               errors.SingularFredholm: 4, errors.TailTooFat: 4}
+    assert {c: c.exit_code for c in ERROR_CLASSES} \
+        == {c: special.get(c, 1) for c in ERROR_CLASSES}
+    assert (errors.EXIT_OK, errors.EXIT_CHECK, errors.EXIT_INPUT,
+            errors.EXIT_SINGULAR, errors.EXIT_DRESSING) == (0, 1, 2, 3, 4)
+    assert errors.SpectralError.exit_code == errors.EXIT_CHECK
+    # the benchmark reads cli.EXIT_OK
+    assert cli.EXIT_OK is errors.EXIT_OK
+    with open(README) as fh:
+        section = fh.read().split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    table = {int(code) for code in re.findall(r"^\| (\d) ", section, re.M)}
+    assert table == {errors.EXIT_OK} | {c.exit_code for c in ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_main_returns_the_exit_code_of_the_class_raised(capsys, monkeypatch,
+                                                       cls):
+    def refuse(name):
+        raise cls(f"refused {name}")
+
+    monkeypatch.setattr(gallery, "build", refuse)
+    code, out, err = run(capsys, "gallery", "polar")
+    assert code == cls.exit_code
+    assert out == ""
+    assert err == "error: refused polar\n"
+
+
+@pytest.mark.parametrize("cls", [KeyError, TypeError, ValueError])
+def test_main_maps_malformed_input_to_exit_2(capsys, monkeypatch, cls):
+    def refuse(name):
+        raise cls("phi")
+
+    monkeypatch.setattr(gallery, "build", refuse)
+    code, out, err = run(capsys, "gallery", "polar")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed input (") and err.count("\n") == 1
 
 
 def test_gates_breach_on_nan_and_keep_it_as_worst():
@@ -666,6 +732,25 @@ def test_dress_on_a_subnormal_bump_width_raises_no_warning(tmp_path,
         warnings.simplefilter("error")
         code, _, _ = run(capsys, "dress", path)
     assert code == 0
+
+
+def test_dress_refuses_overflowing_kernel_products_without_warnings(
+        tmp_path, capsys):
+    # every factor of amplitude 1e200 with its support inside [s, s_max]:
+    # the tail is 0, but F(s, q) and the Nystrom factors overflow, and
+    # numpy's overflow warning escaped as a traceback under -W error
+    with open(os.path.join(GOLDEN, "kernel-bump.json")) as fh:
+        spec = json.load(fh)
+    for entry in spec["phi"]:
+        for factor in entry["params"].values():
+            factor.update(amp=1e200, center=-1.5)
+    path = tmp_path / "kernel-huge.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "dress", str(path))
+    assert code == 4 and out == ""
+    assert err == "error: discretized operator condition nan\n"
 
 
 def test_dress_makes_eight_nystrom_solves_per_sample(capsys, monkeypatch):

@@ -8,10 +8,10 @@ import pytest
 import spectral_coords.gallery as gallery
 from spectral_coords.curve import (VALIDATOR_TOL, ComponentAnsatz, CurvePoint,
                                    EssentialTerm, Gluing, InvolutionSpec,
-                                   Normalization, SpectralData,
-                                   arithmetic_genus, check_involution,
-                                   check_Q_residues, check_regular,
-                                   validate_counting)
+                                   Normalization, RegularityReport,
+                                   SpectralData, arithmetic_genus,
+                                   check_involution, check_Q_residues,
+                                   check_regular, validate_counting)
 from spectral_coords.errors import (CountMismatch, DivisorMismatch,
                                     InputError, Mismatch, NonPositive,
                                     NotInvolution, PNotFixed)
@@ -58,6 +58,15 @@ def test_regularity_and_q_residues_on_catalog(name):
     assert report.passed, f"{name}: residue sums {report.sums}"
     eta_sq = check_Q_residues(data)
     assert eta_sq > 0
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_a_nan_residue_sum_fails_regularity_in_either_position(position):
+    sums = [1e-18 + 0j, 2e-17j, -3e-18 + 0j]
+    sums[position] = complex(float("nan"), float("nan"))
+    report = RegularityReport(sums=sums, tol=VALIDATOR_TOL)
+    assert np.isnan(report.max_abs)
+    assert not report.passed
 
 
 def test_example1_normalization_constant():

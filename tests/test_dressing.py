@@ -1051,6 +1051,25 @@ def test_incompatible_field_is_rejected_up_front():
                            [np.ones_like] * 3, axes)
 
 
+def test_a_nan_in_the_last_integrability_residual_is_rejected_up_front():
+    # beta_32 is NaN only where u_1 > 0, so of the six eq4 residuals at the
+    # probe u = 0 only the last, d_1 beta_32 - beta_31 beta_12, is NaN.
+    # Python's max dropped it, and the field failed only after 80 Picard
+    # iterations, as "did not converge"
+    def beta_fn(u):
+        beta = np.zeros((3, 3))
+        if u[0] > 0:
+            beta[2, 1] = math.nan
+        return beta
+
+    eq4, _ = check_beta_systems(beta_fn, 3, np.zeros(3))
+    assert math.isnan(eq4[-1]) and not any(map(math.isnan, eq4[:-1]))
+    axes = [np.linspace(-0.2, 0.2, 5)] * 3
+    with pytest.raises(IncompatibleField,
+                       match=r"integrability system \(residual nan\)"):
+        lame_from_rotation(beta_fn, [np.ones_like] * 3, axes)
+
+
 def test_axis_validation():
     beta = lambda u: np.zeros((2, 2))
     cauchy = [np.ones_like] * 2

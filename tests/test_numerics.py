@@ -5,7 +5,7 @@ from spectral_coords import gallery
 from spectral_coords.errors import InputError, NoIsolation, PoleEvaluation
 from spectral_coords.numerics import (INF, FactoredRational, Infinity,
                                       RationalDifferential, ROOT_MERGE_TOL,
-                                      is_inf, same_point)
+                                      is_inf, max_abs, same_point)
 
 
 def test_infinity_is_a_singleton():
@@ -249,3 +249,17 @@ def test_differential_json_round_trip():
     v = RationalDifferential.from_json(w.to_json())
     assert v.residue(1.0) == pytest.approx(w.residue(1.0), rel=1e-14)
     assert v.divisor() == w.divisor()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_max_abs_keeps_a_nan_in_any_position(position):
+    values = [0.5, -3.0, 2.0]
+    assert max_abs(values) == 3.0
+    values[position] = float("nan")
+    assert np.isnan(max_abs(values))
+
+
+def test_max_abs_of_nothing_is_zero_and_of_complex_is_the_modulus():
+    assert max_abs([]) == 0.0
+    assert max_abs([3 + 4j, -1j]) == 5.0
+    assert type(max_abs(np.array([1.0]))) is float
