@@ -37,10 +37,11 @@ solve never holds M or its inverse whole, and takes K and the residual
 from the factors in O(nN R). It gates on a condition bound taken from the
 1- and inf-norms of M and its inverse, in two stages: a
 triangle-inequality screen from the factors, in O(nN R), passes the solve
-when it is at most half the limit; only otherwise are the exact norms
-summed over the block layout of the terms, in O(n N^2 R), and judged. The
-screen is never below the exact value, so the two stages refuse exactly
-the solves the exact value alone refuses.
+when it is at most half the limit; only otherwise are M and its inverse
+formed a fixed number of rows at a time, their exact norms summed in
+O((nN)^2 R) time and O(nN) memory, and judged. The screen is never below
+the exact value, so the two stages refuse exactly the solves the exact
+value alone refuses.
 """
 
 from __future__ import annotations
@@ -174,9 +175,7 @@ class _Layout:
 
     blocks lists (a_t, b_t) per term. In the Nystrom matrix M = I - U V^T,
     rows (b, j) and columns (c, k), column t of U lies in row block b_t and
-    column t of V in column block a_t, so block (b, c) of U V^T is the sum
-    of the terms in feeds[b][c], and block c of V has nonzero columns
-    cols[c] only.
+    column t of V in column block a_t (factors).
 
     The sums of F run by slots: slot k pairs each block that has more than
     k terms with its k-th term, so adding the slots in turn adds each
@@ -185,14 +184,10 @@ class _Layout:
     def __init__(self, n: int, blocks):
         self.n = n
         self.blocks = tuple(blocks)
-        self.feeds = tuple(tuple(
-            tuple(t for t, ab in enumerate(self.blocks) if ab == (c, b))
-            for c in range(n)) for b in range(n))
-        self.cols = tuple(
-            tuple(t for t, (a, _) in enumerate(self.blocks) if a == c)
-            for c in range(n))
         # the terms of each block (a, b), in row-major order of the blocks
-        by_block = [self.feeds[b][a] for a in range(n) for b in range(n)]
+        by_block = [tuple(t for t, ab in enumerate(self.blocks)
+                          if ab == (a, b))
+                    for a in range(n) for b in range(n)]
         self._slots = _slots(by_block)
         # the tail check takes a block of one term from the factors' maxima
         # and forms the blocks of two or more
@@ -467,55 +462,28 @@ def _inverse(A: np.ndarray) -> np.ndarray:
             f"discretized operator is singular ({exc})") from exc
 
 
-# _block_norms forms N-column blocks _NORM_BLOCK * n rows at a time: at
-# n = 3, N = 200 a chunk (192 x 200 doubles, 300 kB) stays in cache between
-# its product and its sums.
-_NORM_BLOCK = 64
+# rows of S that _norms forms at once: a chunk of nN columns, 900 kB at
+# n = 3, N = 200 and 4.6 MB at N = 1000
+_NORM_ROWS = 192
 
 
-def _block_norms(A, V, columns, shift: float) -> tuple:
-    """(||S||_1, ||S||_inf) of S = shift I + A V^T, |shift| = 1, for A and
-    V of shape (nN, R) whose block (b, c) of A V^T involves only the
-    columns columns[b][c] (of A's row block b and V's row block c).
-
-    A block without columns adds nothing, or |shift| on the diagonal. One
-    column off the diagonal is a rank-one block, whose absolute row and
-    column sums are |a| sum|v| and |v| sum|a|. Any other block is formed in
-    chunks of _NORM_BLOCK * n rows."""
-    n = len(columns)
-    N = A.shape[0] // n
-    A, V = A.reshape(n, N, -1), V.reshape(n, N, -1)
-    col_sums = np.zeros((n, N))
-    row_sums = np.zeros((n, N))
-    chunk = _NORM_BLOCK * n
-    for b in range(n):
-        for c in range(n):
-            cols = list(columns[b][c])
-            if not cols:
-                if b == c:
-                    col_sums[c] += 1.0
-                    row_sums[b] += 1.0
-            elif b != c and len(cols) == 1:
-                a, v = np.abs(A[b, :, cols[0]]), np.abs(V[c, :, cols[0]])
-                col_sums[c] += v * a.sum()
-                row_sums[b] += a * v.sum()
-            else:
-                Vc = V[c][:, cols].T
-                for r0 in range(0, N, chunk):
-                    block = A[b, r0:r0 + chunk][:, cols] @ Vc
-                    if b == c:
-                        _shift_diagonal(block, r0, shift)
-                    np.abs(block, out=block)
-                    col_sums[c] += block.sum(axis=0)
-                    row_sums[b, r0:r0 + chunk] += block.sum(axis=1)
+def _norms(A, V, shift: float) -> tuple:
+    """(||S||_1, ||S||_inf) of S = shift I + A V^T, for A and V of shape
+    (m, R), formed _NORM_ROWS rows at a time: O(m^2 R) time and O(m)
+    memory. NaN if S has a NaN."""
+    m = A.shape[0]
+    col_sums = np.zeros(m)
+    row_sums = np.empty(m)
+    buffer = np.empty((_NORM_ROWS, m))
+    for r0 in range(0, m, _NORM_ROWS):
+        rows = A[r0:r0 + _NORM_ROWS]
+        chunk = np.matmul(rows, V.T, out=buffer[:len(rows)])
+        # entry (k, r0 + k) of the C-ordered chunk is element r0 + k (m + 1)
+        chunk.reshape(-1)[r0::m + 1] += shift
+        np.abs(chunk, out=chunk)
+        col_sums += chunk.sum(axis=0)
+        row_sums[r0:r0 + len(rows)] = chunk.sum(axis=1)
     return col_sums.max(), row_sums.max()
-
-
-def _shift_diagonal(block: np.ndarray, r0: int, by: float) -> np.ndarray:
-    """Add `by` to the entries (k, r0 + k) of a C-ordered block of rows
-    r0:r0 + len(block) of a square matrix, in place."""
-    block.reshape(-1)[r0::block.shape[1] + 1] += by
-    return block
 
 
 def _screen(U, V, W) -> float:
@@ -535,18 +503,11 @@ def _screen(U, V, W) -> float:
     return math.sqrt(bound)
 
 
-def _low_rank_condition(layout: _Layout, U, V, W) -> float:
-    """_condition of M = I - U V^T and M^-1 = I + W V^T from the exact
-    norms, summed over the block layout (_block_norms)."""
+def _low_rank_condition(U, V, W) -> float:
+    """sqrt(kappa_1 * kappa_inf) of M = I - U V^T, with M^-1 = I + W V^T,
+    from the exact norms (_norms); SingularFredholm above the limit."""
     # -M = U V^T - I
-    return _condition(_block_norms(U, V, layout.feeds, -1.0),
-                      _block_norms(W, V, (layout.cols,) * layout.n, 1.0))
-
-
-def _condition(norms_M: tuple, norms_Minv: tuple) -> float:
-    """sqrt(kappa_1 * kappa_inf) from ((||M||_1, ||M||_inf),
-    (||M^-1||_1, ||M^-1||_inf)); SingularFredholm above the limit."""
-    (M_1, M_inf), (Minv_1, Minv_inf) = norms_M, norms_Minv
+    (M_1, M_inf), (Minv_1, Minv_inf) = _norms(U, V, -1.0), _norms(W, V, 1.0)
     cond = math.sqrt(M_1 * Minv_1 * M_inf * Minv_inf)
     if not math.isfinite(cond) or cond > FREDHOLM_CONDITION_LIMIT:
         raise SingularFredholm(f"discretized operator condition {cond:.3e}")
@@ -566,14 +527,13 @@ def solve_marchenko_kernel(rows, n: int, grid: Grid,
     F((s, q), s) for diagonal() all come from those rows. Only the R x R
     matrix C = I - V^T U is inverted: with W = U C^-1, M^-1 = I + W V^T, so
     K = rhs + W (V^T rhs) and the residual M K - rhs come from the factors
-    in O(nN R), and neither M nor M^-1 is formed.
+    in O(nN R), and neither M nor M^-1 is formed whole.
 
     The gate has two stages. The screen (_screen) bounds the gate value
     from above in O(nN R) from U, V and W; at most _SCREEN_MARGIN *
     FREDHOLM_CONDITION_LIMIT, the solve passes. Otherwise the exact norms
-    are summed block by block (_block_norms): block (b, c) of U V^T holds
-    at most two terms, and block (b, c) of W V^T uses only the columns of
-    V that are nonzero in block c, in O(n N^2 R) time and O(nN) memory.
+    of M and M^-1 are taken from _NORM_ROWS rows of each at a time
+    (_norms), in O((nN)^2 R) time and O(nN) memory.
     The refusals are those of the exact value alone: a solve the screen
     passes has an exact value at most the screen's, up to rounding of
     relative size about nN R eps in either, far below the factor 2 of the
@@ -603,7 +563,7 @@ def solve_marchenko_kernel(rows, n: int, grid: Grid,
         rhs = F_s[:, :, 0, :].transpose(1, 2, 0).reshape(n * N, n)
         U, V = layout.factors(X[:, 1:N + 1], Y[:, 1:N + 1], w)
         W = U @ _inverse(np.eye(U.shape[1]) - V.T @ U)
-        cond = functools.partial(_low_rank_condition, layout, U, V, W)
+        cond = functools.partial(_low_rank_condition, U, V, W)
         if not _screen(U, V, W) <= _SCREEN_MARGIN * FREDHOLM_CONDITION_LIMIT:
             cond = cond()
         sol = rhs + W @ (V.T @ rhs)
@@ -671,6 +631,10 @@ def _axis_checks(axes) -> tuple:
         ax = np.asarray(ax, dtype=float)
         if ax.size < 4:
             raise InputError(f"axis {k} needs at least 4 nodes")
+        # a NaN spacing passes no comparison, and an inf node makes the
+        # tolerance inf
+        if not np.all(np.isfinite(ax)):
+            raise InputError(f"axis {k} has a node that is not finite")
         d = np.diff(ax)
         if np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, np.max(np.abs(ax))):
             raise InputError(f"axis {k} is not uniformly spaced")

@@ -751,10 +751,12 @@ def test_low_rank_and_dense_routes_agree(N):
         assert abs(low.condition - condition) <= 1e-12 * condition
 
 
-@pytest.mark.parametrize("N", [32, 200])
-def test_blockwise_gate_matches_the_explicit_matrices(N):
-    # the low-rank route sums the norms of M and M^-1 over row blocks built
-    # from the factors; the reference forms both matrices whole
+@pytest.mark.parametrize("N", [32, 128, 200])
+def test_exact_gate_matches_the_explicit_matrices(N):
+    # the low-rank route sums the norms of M and M^-1 over chunks of rows
+    # built from the factors; the reference forms both matrices whole. At
+    # n = 3, nN is a single partial chunk for N = 32, two whole chunks of
+    # 192 rows for N = 128, and ends in a partial chunk for N = 200
     gen = np.random.default_rng(4242 + N)
     grid = Grid(s=-2.0, s_max=7.0, N=N)
     q, w = grid.nodes()
@@ -785,6 +787,41 @@ def test_low_rank_solve_holds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < (3 * grid.N) ** 2 * 8 / 4
+
+
+def test_exact_gate_holds_no_dense_matrix():
+    # reading condition after a passing screen runs the exact stage, which
+    # forms M and M^-1 a chunk of rows at a time, within the solve's bound
+    grid = Grid(s=-2.0, s_max=7.0, N=1000)
+    grid.nodes()
+    sol = solve_marchenko(make_spec3(), np.array([0.1, -0.2, 0.05]), grid)
+    tracemalloc.start()
+    try:
+        condition = sol.condition
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1.0 < condition < 1e3
+    assert peak < (3 * grid.N) ** 2 * 8 / 4
+
+
+def test_a_singular_r_by_r_system_is_refused(monkeypatch, capsys):
+    # np.linalg.inv raising stands in for an exactly singular I - V^T U
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(SingularFredholm,
+                       match=r"^discretized operator is singular \("):
+        solve_marchenko(make_spec3(), np.zeros(3), GRID)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                        "kernel-acceptance.json")
+    assert cli.main(["dress", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: discretized operator is singular")
+    assert captured.err.count("error:") == 1 \
+        and captured.err.count("\n") == 1
 
 
 def test_routes_share_the_gate_across_an_amplitude_sweep():
@@ -833,19 +870,19 @@ def test_screen_bounds_the_exact_gate_value():
         q, w = grid.nodes()
         U, V = spec._layout.factors(*spec._rows(u, q), w)
         W = U @ np.linalg.inv(np.eye(U.shape[1]) - V.T @ U)
-        exact = dressing._low_rank_condition(spec._layout, U, V, W)
+        exact = dressing._low_rank_condition(U, V, W)
         assert dressing._screen(U, V, W) >= exact * (1.0 - 1e-14)
 
 
 def count_block_norms(monkeypatch) -> list:
     calls = []
-    block_norms = dressing._block_norms
+    norms = dressing._norms
 
     def counted(*args):
         calls.append(1)
-        return block_norms(*args)
+        return norms(*args)
 
-    monkeypatch.setattr(dressing, "_block_norms", counted)
+    monkeypatch.setattr(dressing, "_norms", counted)
     return calls
 
 
@@ -1080,6 +1117,19 @@ def test_axis_validation():
         lame_from_rotation(beta, cauchy, [good, good + 5.0])
     with pytest.raises(InputError):
         lame_from_rotation(beta, cauchy, [good, np.array([-0.5, 0.0, 0.5])])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_axis_node_is_an_input_error(bad):
+    # a NaN spacing failed no comparison, and an inf node made the spacing
+    # tolerance inf, so either axis passed with steps [0.1]
+    axis = [-0.2, -0.1, 0.0, 0.1, bad]
+    with pytest.raises(InputError, match="axis 0 has a node that is not "
+                                         "finite"):
+        dressing._axis_checks([axis])
+    with pytest.raises(InputError, match="axis 1 has a node"):
+        lame_from_rotation(lambda u: np.zeros((2, 2)), [np.ones_like] * 2,
+                           [np.linspace(-0.2, 0.2, 5), axis])
 
 
 def test_cumulative_integral_is_exact_on_cubics():
